@@ -363,6 +363,7 @@ func BenchmarkEstimateHybrid(b *testing.B) {
 	sys := hw.I7_2600K()
 	inst := plan.Instance{Dim: 1900, TSize: 2000, DSize: 1}
 	par := plan.Params{CPUTile: 8, Band: 1500, GPUTile: 1, Halo: 20}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.Estimate(sys, inst, par, engine.Options{}); err != nil {
@@ -375,6 +376,7 @@ func BenchmarkSimulateFunctional(b *testing.B) {
 	sys := hw.I7_2600K()
 	k := kernels.NewSynthetic(5, 1)
 	par := plan.Params{CPUTile: 8, Band: 60, GPUTile: 1, Halo: 8}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := engine.Simulate(sys, 128, k, par); err != nil {
@@ -386,6 +388,7 @@ func BenchmarkSimulateFunctional(b *testing.B) {
 func BenchmarkExhaustiveQuickSearch(b *testing.B) {
 	sys := hw.I3_540()
 	space := core.QuickSpace()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sr, err := core.Exhaustive(sys, space, core.SearchOptions{})
@@ -877,6 +880,7 @@ func BenchmarkM5Fit(b *testing.B) {
 		}
 		d.Add([]float64{x, y}, target)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ml.FitM5(d, ml.DefaultM5Options())

@@ -12,13 +12,17 @@
 //	benchtraj [-bench regex] [-count 5] [-benchtime 20x] [-dir .]
 //	          [-tol 0.05] [-warn-only] [-dry-run]
 //
-// Without -bench the trajectory runs in two groups, each with a
+// Without -bench the trajectory runs in three groups, each with a
 // benchtime sized to its benchmarks: the substrate group (millisecond-
 // scale frontier sweeps) uses a fixed 20 iterations, while the serving
 // group (microsecond-scale cache hits, request handling, job and
 // pipeline throughput) gets a 0.3s time budget per run — a fixed
 // handful of microsecond iterations measures only a few hundred
 // microseconds of work, which scheduler and hypervisor stalls swamp.
+// The offline group (the analytic estimator, the quick exhaustive
+// search and an M5 fit, from a fraction of a millisecond to tens of
+// milliseconds per op) gets a 0.5s budget, so even the search runs
+// about ten iterations.
 // Passing -bench runs that regex as a single group under -benchtime.
 //
 // The snapshot records one ns/op number per benchmark (the median
@@ -61,11 +65,13 @@ type benchGroup struct {
 // — plan-cache hits, batch tuning across both prediction backends, the
 // per-backend predict microbenchmark, job and pipeline throughput, the
 // metrics-overhead probe pricing the telemetry layer — whose µs-scale
-// ops need a time budget to average out scheduler stalls.
+// ops need a time budget to average out scheduler stalls, and the
+// offline paths that training and tune misses run on.
 var defaultGroups = []benchGroup{
 	{bench: "Frontier", benchtime: "20x"},
 	{bench: "PlanCacheHit|TuneDuringPromotion|TuneBatch|JobThroughput|PipelineThroughput|MetricsOverhead|PredictBackend",
 		benchtime: "0.3s"},
+	{bench: "EstimateHybrid|ExhaustiveQuickSearch|M5Fit", benchtime: "0.5s"},
 }
 
 // Snapshot is the schema of one BENCH_<date>.json file.

@@ -4,20 +4,28 @@
 //   - Estimate: a fast analytic walk of the plan that returns virtual time
 //     and a cost breakdown without touching any data. The exhaustive
 //     search evaluates hundreds of thousands of configurations through
-//     this path.
+//     this path, so it streams: it walks the GPU schedule (periods,
+//     devices, launches) and the CPU tile-diagonals once, accumulating
+//     as it goes, in O(1) memory — its only allocation is the returned
+//     plan, at any instance size.
 //   - Simulate: a functional discrete-event simulation through the simcl
 //     runtime that computes real cell values while accumulating exactly
-//     the same modeled costs. Tests assert that both paths agree, so the
-//     cheap path is trustworthy.
+//     the same modeled costs. It walks the same schedule and alone
+//     collects the row segments its kernel bodies compute. Tests assert
+//     that both paths agree, so the cheap path is trustworthy.
 //
 // Both derive every duration from the hw cost models; the choreography
 // (phases, per-period device lockstep, halo swap schedule, transfer sizes)
-// is defined once in this package.
+// is defined once in this package, in the gpuSchedule walker. The
+// materialized form it replaced (whole period and tile-diagonal lists
+// built up front) lives on only as a test oracle that Estimate must
+// match bit for bit.
 package engine
 
 import (
 	"context"
 	"fmt"
+	"iter"
 	"math"
 
 	"repro/internal/cpuexec"
@@ -115,11 +123,39 @@ func cpuPhaseNs(sys hw.System, inst plan.Instance, ct, lo, hi int) float64 {
 	// triangular and sparse workloads.
 	per := sys.CPU.PointNs(inst.TSize, ct, inst.ElemBytes()) * inst.LiveFrac()
 	total := 0.0
-	for _, td := range plan.CPUTileDiagsRect(rows, cols, ct, lo, hi) {
-		p := math.Min(float64(td.NTiles), sys.CPU.EffParallel)
-		total += float64(td.Cells)*per/p + sys.CPU.TileBarrierNs
+	for nTiles, cells := range cpuTileDiags(rows, cols, ct, lo, hi) {
+		p := math.Min(float64(nTiles), sys.CPU.EffParallel)
+		total += float64(cells)*per/p + sys.CPU.TileBarrierNs
 	}
 	return total
+}
+
+// cpuTileDiags visits, in order, the tile-diagonals of the CPU phase
+// covering cell-diagonals [lo, hi] of a rows x cols grid with square
+// tiles of side ct, yielding each one's tile count and cell count.
+// Tile-diagonal t groups the cells whose diagonal index lies in
+// [t*ct, (t+1)*ct-1] — these spans partition the diagonal space, so the
+// cell counts sum exactly to the region size. The tile count is the
+// width of the tile wavefront at t, which bounds the parallelism
+// available to the executor. Tile-diagonals without cells are skipped.
+func cpuTileDiags(rows, cols, ct, lo, hi int) iter.Seq2[int, int] {
+	return func(yield func(nTiles, cells int) bool) {
+		if hi < lo {
+			return
+		}
+		nTr := (rows + ct - 1) / ct
+		nTc := (cols + ct - 1) / ct
+		for t := lo / ct; t <= hi/ct; t++ {
+			cells := grid.CellsInDiagRangeRect(rows, cols, max(t*ct, lo), min((t+1)*ct-1, hi))
+			if cells == 0 {
+				continue
+			}
+			n := max(min(t+1, nTr+nTc-1-t, nTr, nTc), 1)
+			if !yield(n, cells) {
+				return
+			}
+		}
+	}
 }
 
 // SerialNs returns the optimized sequential baseline: a single-core sweep
@@ -184,19 +220,37 @@ func MeasureStepsNsCtx(ctx context.Context, sys hw.System, inst plan.Instance, s
 	return ns, steps, err
 }
 
-// gpuSchedule captures the device-side choreography of the GPU phase so
-// the analytic and functional paths walk identical structures.
+// gpuSchedule is the device-side choreography of the GPU phase: the
+// per-device transfer sizes and the lockstep periods of kernel launches
+// separated by halo swaps. Estimate and Simulate both walk it through
+// periods and launches, so the analytic and functional paths visit
+// identical launches. Nothing is materialized: a walk runs in O(1)
+// memory at any instance size.
 type gpuSchedule struct {
-	nGPU     int
-	xferIn   []int // bytes per device
-	xferOut  []int
-	swapByte int
-	periods  []gpuPeriod
+	rows, cols int
+	gLo, gHi   int // the offloaded diagonals
+	nGPU       int
+	xferIn     int // input bytes per device
+	outCells   int // cells of the band, returned to the host
+	elem       int
+	swapByte   int
+	period     int // diagonals per lockstep period
+	tile       int // diagonals per kernel launch (the gpu-tile)
+	syncSteps  int
+	inflate    float64
+	liveFrac   float64
+	// functional makes launches record the row segments they cover, for
+	// Simulate's kernel bodies.
+	functional bool
 }
 
+// gpuPeriod is one lockstep period: every device runs its launches over
+// diagonals [ds, ds+m) before the optional halo exchange that follows.
 type gpuPeriod struct {
-	// launches[dev] is the launch list of one device for this period.
-	launches [][]launchSpec
+	ds, m int
+	// a0 and l0 are the first row and length of the period's first
+	// diagonal, from which the device partition cuts are taken.
+	a0, l0 int
 	// swapAfter is true when a halo exchange follows the period; each of
 	// the nGPU-1 partition boundaries then moves swapByte bytes through
 	// the host (2 transfers per boundary).
@@ -209,7 +263,8 @@ type launchSpec struct {
 	points    int
 	syncSteps int
 	inflate   float64
-	// segs lists the covered row segments for functional execution.
+	// segs lists the covered row segments; only functional schedules
+	// collect them.
 	segs []diagSeg
 }
 
@@ -217,139 +272,121 @@ type diagSeg struct {
 	d, rowLo, rowHi int // rows [rowLo, rowHi] of diagonal d; empty if lo>hi
 }
 
-// buildGPUSchedule constructs the phase-2 choreography for a plan.
-// wantGPUs > 2 widens a dual-GPU configuration to that many devices.
-func buildGPUSchedule(pl *plan.Plan, functional bool, wantGPUs int) *gpuSchedule {
+// newGPUSchedule sets up the phase-2 choreography for a plan; ok is
+// false when the plan has no GPU phase. wantGPUs > 2 widens a dual-GPU
+// configuration to that many devices.
+func newGPUSchedule(pl *plan.Plan, functional bool, wantGPUs int) (s gpuSchedule, ok bool) {
 	nGPU := pl.Par.GPUCount()
 	if nGPU == 2 && wantGPUs > 2 {
 		nGPU = wantGPUs
 	}
 	if nGPU == 0 || pl.GPUDiags() == 0 {
-		return nil
+		return s, false
 	}
-	inst := pl.Inst
-	rows, cols := inst.Shape()
-	elem := inst.ElemBytes()
-	sch := &gpuSchedule{nGPU: nGPU, xferIn: make([]int, nGPU), xferOut: make([]int, nGPU)}
-
+	rows, cols := pl.Inst.Shape()
+	s = gpuSchedule{
+		rows: rows, cols: cols, gLo: pl.GLo, gHi: pl.GHi, nGPU: nGPU,
+		elem:       pl.Inst.ElemBytes(),
+		outCells:   pl.GPUCells(),
+		period:     pl.GPUDiags(),
+		tile:       pl.Par.GPUTile,
+		inflate:    1,
+		liveFrac:   pl.Inst.LiveFrac(),
+		functional: functional,
+	}
 	// Input: the two predecessor diagonals feeding the band, split across
 	// devices.
-	inBytes := (grid.DiagLenRect(rows, cols, pl.GLo-1) + grid.DiagLenRect(rows, cols, pl.GLo-2)) * elem
-	for dev := 0; dev < nGPU; dev++ {
-		sch.xferIn[dev] = inBytes / nGPU
-	}
-	// Output: the full band region returns to the host; the last device
-	// absorbs the rounding remainder.
-	outCells := pl.GPUCells()
-	for dev := 0; dev < nGPU; dev++ {
-		sch.xferOut[dev] = outCells / nGPU * elem
-	}
-	sch.xferOut[nGPU-1] = (outCells - (nGPU-1)*(outCells/nGPU)) * elem
-
-	h := pl.Par.Halo
-	period := pl.GPUDiags()
+	s.xferIn = (grid.DiagLenRect(rows, cols, pl.GLo-1) + grid.DiagLenRect(rows, cols, pl.GLo-2)) * s.elem / nGPU
 	if nGPU >= 2 {
-		period = pl.SwapPeriod()
-		swapElems := h
-		if swapElems < 1 {
-			swapElems = 1
-		}
-		sch.swapByte = swapElems * elem
+		s.period = pl.SwapPeriod()
+		s.swapByte = max(pl.Par.Halo, 1) * s.elem
 	}
-	g := pl.Par.GPUTile
-	inflate := 1.0
-	sync := 0
-	if g > 1 {
-		inflate = float64(2*g-1) / float64(g)
-		sync = 2*g - 1
+	if g := s.tile; g > 1 {
+		s.inflate = float64(2*g-1) / float64(g)
+		s.syncSteps = 2*g - 1
 	}
+	return s, true
+}
 
-	for ds := pl.GLo; ds <= pl.GHi; ds += period {
-		m := period
-		if ds+m-1 > pl.GHi {
-			m = pl.GHi - ds + 1
-		}
-		p := gpuPeriod{launches: make([][]launchSpec, nGPU)}
-		p.swapAfter = nGPU >= 2 && ds+m <= pl.GHi
-		// Partition boundary rows for this period, cut from its first
-		// diagonal: bounds[j] is the first row of device j's share.
-		a0 := grid.DiagStartRowRect(rows, cols, ds)
-		l0 := grid.DiagLenRect(rows, cols, ds)
-		bounds := make([]int, nGPU+1)
-		for j := 0; j <= nGPU; j++ {
-			bounds[j] = a0 + j*l0/nGPU
-		}
-		for dev := 0; dev < nGPU; dev++ {
-			for c0 := 0; c0 < m; c0 += g {
-				cn := g
-				if c0+cn > m {
-					cn = m - c0
-				}
-				spec := launchSpec{inflate: inflate}
-				if g > 1 {
-					spec.syncSteps = sync
-				}
-				for k := c0; k < c0+cn; k++ {
-					d := ds + k
-					lo, hi := devRows(rows, cols, d, dev, nGPU, bounds, m-1-k)
-					if hi < lo {
-						continue
-					}
-					spec.points += hi - lo + 1
-					if functional {
-						spec.segs = append(spec.segs, diagSeg{d: d, rowLo: lo, rowHi: hi})
-					}
-				}
-				if lf := inst.LiveFrac(); lf < 1 && spec.points > 0 {
-					// Charge the launch for the live share of its covered
-					// cells. The functional segs still span every cell —
-					// masked kernels write their dead region's zeros, so
-					// the simulated matrix stays identical to a dense
-					// sweep — but timing reflects real work only.
-					scaled := int(math.Round(float64(spec.points) * lf))
-					if scaled < 1 {
-						scaled = 1
-					}
-					spec.points = scaled
-				}
-				if spec.points > 0 {
-					p.launches[dev] = append(p.launches[dev], spec)
-				}
+// xferOut returns the output bytes of device dev: the full band region
+// returns to the host, and the last device absorbs the rounding
+// remainder.
+func (s *gpuSchedule) xferOut(dev int) int {
+	share := s.outCells / s.nGPU
+	if dev == s.nGPU-1 {
+		share = s.outCells - (s.nGPU-1)*share
+	}
+	return share * s.elem
+}
+
+// periods visits the lockstep periods in execution order.
+func (s *gpuSchedule) periods() iter.Seq[gpuPeriod] {
+	return func(yield func(gpuPeriod) bool) {
+		for ds := s.gLo; ds <= s.gHi; ds += s.period {
+			m := min(s.period, s.gHi-ds+1)
+			p := gpuPeriod{
+				ds: ds, m: m,
+				a0:        grid.DiagStartRowRect(s.rows, s.cols, ds),
+				l0:        grid.DiagLenRect(s.rows, s.cols, ds),
+				swapAfter: s.nGPU >= 2 && ds+m <= s.gHi,
+			}
+			if !yield(p) {
+				return
 			}
 		}
-		sch.periods = append(sch.periods, p)
 	}
-	return sch
+}
+
+// launches visits device dev's kernel launches of period p in launch
+// order, skipping launches that cover no cells.
+func (s *gpuSchedule) launches(p gpuPeriod, dev int) iter.Seq[launchSpec] {
+	return func(yield func(launchSpec) bool) {
+		for c0 := 0; c0 < p.m; c0 += s.tile {
+			l := launchSpec{inflate: s.inflate, syncSteps: s.syncSteps}
+			for k := c0; k < min(c0+s.tile, p.m); k++ {
+				d := p.ds + k
+				lo, hi := s.devRows(p, d, dev, p.m-1-k)
+				if hi < lo {
+					continue
+				}
+				l.points += hi - lo + 1
+				if s.functional {
+					l.segs = append(l.segs, diagSeg{d: d, rowLo: lo, rowHi: hi})
+				}
+			}
+			if s.liveFrac < 1 && l.points > 0 {
+				// Charge the launch for the live share of its covered
+				// cells. The functional segs still span every cell —
+				// masked kernels write their dead region's zeros, so
+				// the simulated matrix stays identical to a dense
+				// sweep — but timing reflects real work only.
+				l.points = max(int(math.Round(float64(l.points)*s.liveFrac)), 1)
+			}
+			if l.points > 0 && !yield(l) {
+				return
+			}
+		}
+	}
 }
 
 // devRows returns the inclusive row range device dev computes on diagonal
-// d of a rows x cols grid. bounds holds the period's partition cut rows
-// (bounds[j] is the first row of device j's share). A device below a
-// partition boundary additionally computes a shrinking overlap of ov rows
-// above its cut (the redundant halo computation of Section 2.1), because
-// the wavefront dependencies point towards lower rows. With one device the
-// whole diagonal is returned.
-func devRows(rows, cols, d, dev, nGPU int, bounds []int, ov int) (lo, hi int) {
-	a := grid.DiagStartRowRect(rows, cols, d)
-	b := a + grid.DiagLenRect(rows, cols, d) - 1
-	if nGPU == 1 {
-		return a, b
+// d of period p. The partition cuts come from the period's first
+// diagonal: device j's share starts at row a0 + j*l0/nGPU. A device below
+// a partition boundary additionally computes a shrinking overlap of ov
+// rows above its cut (the redundant halo computation of Section 2.1),
+// because the wavefront dependencies point towards lower rows. With one
+// device the whole diagonal is returned.
+func (s *gpuSchedule) devRows(p gpuPeriod, d, dev, ov int) (lo, hi int) {
+	lo = grid.DiagStartRowRect(s.rows, s.cols, d)
+	hi = lo + grid.DiagLenRect(s.rows, s.cols, d) - 1
+	if s.nGPU == 1 {
+		return lo, hi
 	}
-	if dev == 0 {
-		lo = a
-	} else {
-		lo = bounds[dev] - ov
-		if lo < a {
-			lo = a
-		}
+	if dev > 0 {
+		lo = max(lo, p.a0+dev*p.l0/s.nGPU-ov)
 	}
-	if dev == nGPU-1 {
-		hi = b
-	} else {
-		hi = bounds[dev+1] - 1
-		if hi > b {
-			hi = b
-		}
+	if dev < s.nGPU-1 {
+		hi = min(hi, p.a0+(dev+1)*p.l0/s.nGPU-1)
 	}
 	return lo, hi
 }
@@ -385,7 +422,7 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 		return res, nil
 	}
 
-	if sch := buildGPUSchedule(pl, false, opts.GPUs); sch != nil {
+	if sch, ok := newGPUSchedule(pl, false, opts.GPUs); ok {
 		gpuStart := res.RTimeNs
 		// Startup is concurrent across devices; identical models per
 		// system make max == single value, but take max for generality.
@@ -397,21 +434,22 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 		res.RTimeNs += startup
 		// Input transfers serialize on the link.
 		for dev := 0; dev < sch.nGPU; dev++ {
-			x := sys.Link.XferNs(sch.xferIn[dev])
+			x := sys.Link.XferNs(sch.xferIn)
 			res.XferNs += x
 			res.RTimeNs += x
 		}
-		for _, p := range sch.periods {
+		for p := range sch.periods() {
 			var span float64
 			for dev := 0; dev < sch.nGPU; dev++ {
+				gpu := &sys.GPUs[dev]
 				var devNs float64
-				for _, l := range p.launches[dev] {
-					dur := sys.GPUs[dev].LaunchDurationNs(sys.CPU, l.points, inst.TSize,
+				for l := range sch.launches(p, dev) {
+					dur := gpu.LaunchDurationNs(sys.CPU, l.points, inst.TSize,
 						inst.DSize, l.syncSteps, l.inflate)
 					devNs += dur
 					res.Kernels++
-					res.LaunchNs += sys.GPUs[dev].LaunchNs
-					res.ComputeNs += dur - sys.GPUs[dev].LaunchNs
+					res.LaunchNs += gpu.LaunchNs
+					res.ComputeNs += dur - gpu.LaunchNs
 				}
 				span = math.Max(span, devNs)
 			}
@@ -427,7 +465,7 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 			}
 		}
 		for dev := 0; dev < sch.nGPU; dev++ {
-			x := sys.Link.XferNs(sch.xferOut[dev])
+			x := sys.Link.XferNs(sch.xferOut(dev))
 			res.XferNs += x
 			res.RTimeNs += x
 		}
@@ -490,7 +528,7 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 	}
 	eng := p.Eng
 
-	sch := buildGPUSchedule(pl, true, opts.GPUs)
+	sch, gpuPhase := newGPUSchedule(pl, true, opts.GPUs)
 	var steps []func(next func())
 
 	// Phase 1: leading CPU triangle.
@@ -508,7 +546,7 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 	}
 
 	// Phase 2: the offloaded band.
-	if sch != nil {
+	if gpuPhase {
 		var gpuT0 float64
 		steps = append(steps,
 			func(next func()) {
@@ -521,35 +559,38 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 			func(next func()) {
 				arrive := eng.Barrier(sch.nGPU, next)
 				for dev := 0; dev < sch.nGPU; dev++ {
-					p.Devs[dev].EnqueueXfer(sch.xferIn[dev], arrive)
+					p.Devs[dev].EnqueueXfer(sch.xferIn, arrive)
 				}
 			})
-		for _, period := range sch.periods {
-			period := period
-			steps = append(steps, func(next func()) {
-				total := 0
-				for dev := 0; dev < sch.nGPU; dev++ {
-					total += len(period.launches[dev])
+		type devLaunch struct {
+			dev int
+			launchSpec
+		}
+		for period := range sch.periods() {
+			var launches []devLaunch
+			for dev := 0; dev < sch.nGPU; dev++ {
+				for l := range sch.launches(period, dev) {
+					launches = append(launches, devLaunch{dev, l})
 				}
-				arrive := eng.Barrier(total, next)
-				for dev := 0; dev < sch.nGPU; dev++ {
-					for _, l := range period.launches[dev] {
-						segs := l.segs
-						p.Devs[dev].EnqueueKernel(simcl.KernelReq{
-							Points:    l.points,
-							TSize:     inst.TSize,
-							DSize:     inst.DSize,
-							SyncSteps: l.syncSteps,
-							Inflate:   l.inflate,
-							Body: func() {
-								for _, s := range segs {
-									for r := s.rowLo; r <= s.rowHi; r++ {
-										k.Compute(g, r, s.d-r)
-									}
+			}
+			steps = append(steps, func(next func()) {
+				arrive := eng.Barrier(len(launches), next)
+				for _, l := range launches {
+					segs := l.segs
+					p.Devs[l.dev].EnqueueKernel(simcl.KernelReq{
+						Points:    l.points,
+						TSize:     inst.TSize,
+						DSize:     inst.DSize,
+						SyncSteps: l.syncSteps,
+						Inflate:   l.inflate,
+						Body: func() {
+							for _, s := range segs {
+								for r := s.rowLo; r <= s.rowHi; r++ {
+									k.Compute(g, r, s.d-r)
 								}
-							},
-						}, arrive)
-					}
+							}
+						},
+					}, arrive)
 				}
 			})
 			if period.swapAfter {
@@ -578,7 +619,7 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 				next()
 			})
 			for dev := 0; dev < sch.nGPU; dev++ {
-				p.Devs[dev].EnqueueXfer(sch.xferOut[dev], arrive)
+				p.Devs[dev].EnqueueXfer(sch.xferOut(dev), arrive)
 			}
 		})
 	}
@@ -599,7 +640,7 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 	res.RTimeNs = eng.Run()
 
 	// Fold device statistics into the breakdown.
-	if sch != nil {
+	if gpuPhase {
 		for dev := 0; dev < sch.nGPU; dev++ {
 			st := p.Devs[dev].Stats
 			res.Kernels += st.Kernels
@@ -608,7 +649,7 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 			res.ComputeNs += st.KernelNs
 		}
 		for dev := 0; dev < sch.nGPU; dev++ {
-			res.XferNs += sys.Link.XferNs(sch.xferIn[dev]) + sys.Link.XferNs(sch.xferOut[dev])
+			res.XferNs += sys.Link.XferNs(sch.xferIn) + sys.Link.XferNs(sch.xferOut(dev))
 		}
 		res.SwapNs = float64(2*res.Swaps*(sch.nGPU-1)) * sys.Link.XferNs(sch.swapByte)
 		res.RedundantPoints = pl.RedundantPoints()

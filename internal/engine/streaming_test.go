@@ -1,0 +1,96 @@
+package engine
+
+import (
+	"testing"
+	"testing/quick"
+
+	"repro/internal/grid"
+	"repro/internal/hw"
+	"repro/internal/plan"
+)
+
+// TestEstimateAllocsConstant pins Estimate's memory to O(1): the only
+// allocation is the returned *plan.Plan, at the benchmark size and at a
+// side of 2^20 alike, for all-CPU, full-band single-GPU and full-band
+// dual-GPU halo-0 plans (the last has one period per diagonal).
+func TestEstimateAllocsConstant(t *testing.T) {
+	sys := hw.I7_2600K()
+	for _, side := range []int{1900, 1 << 20} {
+		inst := plan.Instance{Dim: side, TSize: 2000, DSize: 1}
+		pars := []plan.Params{
+			CPUOnlyParams(8),
+			GPUOnlyParams(side),
+			{CPUTile: 1, Band: side - 1, GPUTile: 1, Halo: 0},
+		}
+		if side == 1900 {
+			// BenchmarkEstimateHybrid's plan.
+			pars = append(pars, plan.Params{CPUTile: 8, Band: 1500, GPUTile: 1, Halo: 20})
+		}
+		for _, par := range pars {
+			var err error
+			allocs := testing.AllocsPerRun(1, func() {
+				_, err = Estimate(sys, inst, par, Options{})
+			})
+			if err != nil {
+				t.Fatalf("side %d %v: %v", side, par, err)
+			}
+			if allocs > 1 {
+				t.Errorf("side %d %v: %v allocs/op, want <= 1", side, par, allocs)
+			}
+		}
+	}
+}
+
+func collectTileDiags(rows, cols, ct, lo, hi int) (nTiles, cells []int) {
+	for n, c := range cpuTileDiags(rows, cols, ct, lo, hi) {
+		nTiles = append(nTiles, n)
+		cells = append(cells, c)
+	}
+	return nTiles, cells
+}
+
+func TestCPUTileDiagsConserveCells(t *testing.T) {
+	// Property: tile-diagonal cell counts sum exactly to the region size.
+	f := func(rawDim, rawCt, rawLo, rawHi uint8) bool {
+		dim := int(rawDim)%150 + 1
+		ct := int(rawCt)%dim + 1
+		nd := grid.NumDiags(dim)
+		lo := int(rawLo) % nd
+		hi := int(rawHi) % nd
+		if hi < lo {
+			lo, hi = hi, lo
+		}
+		sum := 0
+		for n, cells := range cpuTileDiags(dim, dim, ct, lo, hi) {
+			if n < 1 {
+				return false
+			}
+			sum += cells
+		}
+		return sum == grid.CellsInDiagRange(dim, lo, hi)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestCPUTileDiagsEmptyRegion(t *testing.T) {
+	if n, cells := collectTileDiags(100, 100, 4, 5, 4); n != nil {
+		t.Errorf("empty region must visit nothing, got tiles %v cells %v", n, cells)
+	}
+}
+
+func TestCPUTileDiagsUntiled(t *testing.T) {
+	// ct=1: one tile-diagonal per cell-diagonal, NTiles = diagonal length.
+	dim := 10
+	nTiles, cells := collectTileDiags(dim, dim, 1, 0, grid.NumDiags(dim)-1)
+	if len(nTiles) != grid.NumDiags(dim) {
+		t.Fatalf("got %d tile-diagonals, want %d", len(nTiles), grid.NumDiags(dim))
+	}
+	for i := range nTiles {
+		if nTiles[i] != grid.DiagLen(dim, i) || cells[i] != grid.DiagLen(dim, i) {
+			t.Fatalf("tile-diag %d = %d tiles, %d cells, want both %d",
+				i, nTiles[i], cells[i], grid.DiagLen(dim, i))
+		}
+	}
+}

@@ -217,51 +217,6 @@ func TestPartitionOverlapSize(t *testing.T) {
 	}
 }
 
-func TestCPUTileDiagsConserveCells(t *testing.T) {
-	// Property: tile-diagonal cell counts sum exactly to the region size.
-	f := func(rawDim, rawCt, rawLo, rawHi uint8) bool {
-		dim := int(rawDim)%150 + 1
-		ct := int(rawCt)%dim + 1
-		nd := grid.NumDiags(dim)
-		lo := int(rawLo) % nd
-		hi := int(rawHi) % nd
-		if hi < lo {
-			lo, hi = hi, lo
-		}
-		sum := 0
-		for _, td := range CPUTileDiags(dim, ct, lo, hi) {
-			if td.NTiles < 1 {
-				return false
-			}
-			sum += td.Cells
-		}
-		return sum == grid.CellsInDiagRange(dim, lo, hi)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCPUTileDiagsEmptyRegion(t *testing.T) {
-	if got := CPUTileDiags(100, 4, 5, 4); got != nil {
-		t.Errorf("empty region must yield nil, got %v", got)
-	}
-}
-
-func TestCPUTileDiagsUntiled(t *testing.T) {
-	// ct=1: one tile-diagonal per cell-diagonal, NTiles = diagonal length.
-	dim := 10
-	tds := CPUTileDiags(dim, 1, 0, grid.NumDiags(dim)-1)
-	if len(tds) != grid.NumDiags(dim) {
-		t.Fatalf("got %d tile-diagonals, want %d", len(tds), grid.NumDiags(dim))
-	}
-	for i, td := range tds {
-		if td.NTiles != grid.DiagLen(dim, i) || td.Cells != grid.DiagLen(dim, i) {
-			t.Fatalf("tile-diag %d = %+v, want NTiles=Cells=%d", i, td, grid.DiagLen(dim, i))
-		}
-	}
-}
-
 func TestInstanceString(t *testing.T) {
 	s := Instance{Dim: 500, TSize: 0.5, DSize: 0}.String()
 	if s != "dim=500 tsize=0.5 dsize=0" {
