@@ -372,6 +372,26 @@ func BenchmarkEstimateHybrid(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateShortPeriods prices the plans that dominate served
+// tune misses: dual-GPU, gpu-tile 1, with a halo of 1–4 rows, so every
+// lockstep period spans only a few diagonals and the walk's
+// per-period and per-launch costs, not the CPU phases, set the time.
+func BenchmarkEstimateShortPeriods(b *testing.B) {
+	sys := hw.I7_2600K()
+	inst := plan.Instance{Dim: 2000, TSize: 2000, DSize: 1}
+	for halo := 1; halo <= 4; halo++ {
+		par := plan.Params{CPUTile: 8, Band: 1500, GPUTile: 1, Halo: halo}
+		b.Run(fmt.Sprintf("halo=%d", halo), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Estimate(sys, inst, par, engine.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkSimulateFunctional(b *testing.B) {
 	sys := hw.I7_2600K()
 	k := kernels.NewSynthetic(5, 1)

@@ -19,10 +19,11 @@
 // pipeline throughput) gets a 0.3s time budget per run — a fixed
 // handful of microsecond iterations measures only a few hundred
 // microseconds of work, which scheduler and hypervisor stalls swamp.
-// The offline group (the analytic estimator, the quick exhaustive
-// search and an M5 fit, from a fraction of a millisecond to tens of
-// milliseconds per op) gets a 0.5s budget, so even the search runs
-// about ten iterations.
+// The offline group (the analytic estimator on a long-period hybrid
+// plan and on the short-period dual-GPU plans that dominate served tune
+// misses, the quick exhaustive search and an M5 fit, from tens of
+// microseconds to tens of milliseconds per op) gets a 0.5s budget, so
+// even the search runs about ten iterations.
 // Passing -bench runs that regex as a single group under -benchtime.
 //
 // The snapshot records one ns/op number per benchmark (the median
@@ -71,7 +72,7 @@ var defaultGroups = []benchGroup{
 	{bench: "Frontier", benchtime: "20x"},
 	{bench: "PlanCacheHit|TuneDuringPromotion|TuneBatch|JobThroughput|PipelineThroughput|MetricsOverhead|PredictBackend",
 		benchtime: "0.3s"},
-	{bench: "EstimateHybrid|ExhaustiveQuickSearch|M5Fit", benchtime: "0.5s"},
+	{bench: "EstimateHybrid|EstimateShortPeriods|ExhaustiveQuickSearch|M5Fit", benchtime: "0.5s"},
 }
 
 // Snapshot is the schema of one BENCH_<date>.json file.

@@ -7,7 +7,10 @@
 //     this path, so it streams: it walks the GPU schedule (periods,
 //     devices, launches) and the CPU tile-diagonals once, accumulating
 //     as it goes, in O(1) memory — its only allocation is the returned
-//     plan, at any instance size.
+//     plan, at any instance size. Each device's launch cost is priced
+//     once per SIMT pass count (a launch's cost depends on its points
+//     only through hw.GPUModel.PaddedPoints) and each partition cut
+//     once per period.
 //   - Simulate: a functional discrete-event simulation through the simcl
 //     runtime that computes real cell values while accumulating exactly
 //     the same modeled costs. It walks the same schedule and alone
@@ -15,8 +18,9 @@
 //     that both paths agree, so the cheap path is trustworthy.
 //
 // Both derive every duration from the hw cost models; the choreography
-// (phases, per-period device lockstep, halo swap schedule, transfer sizes)
-// is defined once in this package, in the gpuSchedule walker. The
+// (phases, per-period device lockstep, partition cuts and halo overlap
+// rows, swap schedule, transfer sizes) is defined once in this package,
+// in the gpuSchedule helpers both paths call. The
 // materialized form it replaced (whole period and tile-diagonal lists
 // built up front) lives on only as a test oracle that Estimate must
 // match bit for bit.
@@ -222,10 +226,11 @@ func MeasureStepsNsCtx(ctx context.Context, sys hw.System, inst plan.Instance, s
 
 // gpuSchedule is the device-side choreography of the GPU phase: the
 // per-device transfer sizes and the lockstep periods of kernel launches
-// separated by halo swaps. Estimate and Simulate both walk it through
-// periods and launches, so the analytic and functional paths visit
-// identical launches. Nothing is materialized: a walk runs in O(1)
-// memory at any instance size.
+// separated by halo swaps. Estimate and Simulate walk it the same way —
+// periodAt for each period, part for each device's share of it,
+// launchPoints and devPart.rows for each launch — so the analytic and
+// functional paths visit identical launches. Nothing is materialized:
+// a walk runs in O(1) memory at any instance size.
 type gpuSchedule struct {
 	rows, cols int
 	gLo, gHi   int // the offloaded diagonals
@@ -239,9 +244,8 @@ type gpuSchedule struct {
 	syncSteps  int
 	inflate    float64
 	liveFrac   float64
-	// functional makes launches record the row segments they cover, for
-	// Simulate's kernel bodies.
-	functional bool
+	tsize      float64
+	dsize      int
 }
 
 // gpuPeriod is one lockstep period: every device runs its launches over
@@ -257,17 +261,6 @@ type gpuPeriod struct {
 	swapAfter bool
 }
 
-// launchSpec is one kernel launch covering the device's partitions of a
-// chunk of consecutive diagonals (chunk length = gpu-tile).
-type launchSpec struct {
-	points    int
-	syncSteps int
-	inflate   float64
-	// segs lists the covered row segments; only functional schedules
-	// collect them.
-	segs []diagSeg
-}
-
 type diagSeg struct {
 	d, rowLo, rowHi int // rows [rowLo, rowHi] of diagonal d; empty if lo>hi
 }
@@ -275,7 +268,7 @@ type diagSeg struct {
 // newGPUSchedule sets up the phase-2 choreography for a plan; ok is
 // false when the plan has no GPU phase. wantGPUs > 2 widens a dual-GPU
 // configuration to that many devices.
-func newGPUSchedule(pl *plan.Plan, functional bool, wantGPUs int) (s gpuSchedule, ok bool) {
+func newGPUSchedule(pl *plan.Plan, wantGPUs int) (s gpuSchedule, ok bool) {
 	nGPU := pl.Par.GPUCount()
 	if nGPU == 2 && wantGPUs > 2 {
 		nGPU = wantGPUs
@@ -286,13 +279,14 @@ func newGPUSchedule(pl *plan.Plan, functional bool, wantGPUs int) (s gpuSchedule
 	rows, cols := pl.Inst.Shape()
 	s = gpuSchedule{
 		rows: rows, cols: cols, gLo: pl.GLo, gHi: pl.GHi, nGPU: nGPU,
-		elem:       pl.Inst.ElemBytes(),
-		outCells:   pl.GPUCells(),
-		period:     pl.GPUDiags(),
-		tile:       pl.Par.GPUTile,
-		inflate:    1,
-		liveFrac:   pl.Inst.LiveFrac(),
-		functional: functional,
+		elem:     pl.Inst.ElemBytes(),
+		outCells: pl.GPUCells(),
+		period:   pl.GPUDiags(),
+		tile:     pl.Par.GPUTile,
+		inflate:  1,
+		liveFrac: pl.Inst.LiveFrac(),
+		tsize:    pl.Inst.TSize,
+		dsize:    pl.Inst.DSize,
 	}
 	// Input: the two predecessor diagonals feeding the band, split across
 	// devices.
@@ -319,76 +313,100 @@ func (s *gpuSchedule) xferOut(dev int) int {
 	return share * s.elem
 }
 
-// periods visits the lockstep periods in execution order.
-func (s *gpuSchedule) periods() iter.Seq[gpuPeriod] {
-	return func(yield func(gpuPeriod) bool) {
-		for ds := s.gLo; ds <= s.gHi; ds += s.period {
-			m := min(s.period, s.gHi-ds+1)
-			p := gpuPeriod{
-				ds: ds, m: m,
-				a0:        grid.DiagStartRowRect(s.rows, s.cols, ds),
-				l0:        grid.DiagLenRect(s.rows, s.cols, ds),
-				swapAfter: s.nGPU >= 2 && ds+m <= s.gHi,
-			}
-			if !yield(p) {
-				return
-			}
-		}
+// periodAt returns the lockstep period starting at diagonal ds. The
+// periods of a walk start at gLo, gLo+period, ... up to gHi.
+func (s *gpuSchedule) periodAt(ds int) gpuPeriod {
+	m := min(s.period, s.gHi-ds+1)
+	return gpuPeriod{
+		ds: ds, m: m,
+		a0:        grid.DiagStartRowRect(s.rows, s.cols, ds),
+		l0:        grid.DiagLenRect(s.rows, s.cols, ds),
+		swapAfter: s.nGPU >= 2 && ds+m <= s.gHi,
 	}
 }
 
-// launches visits device dev's kernel launches of period p in launch
-// order, skipping launches that cover no cells.
-func (s *gpuSchedule) launches(p gpuPeriod, dev int) iter.Seq[launchSpec] {
-	return func(yield func(launchSpec) bool) {
-		for c0 := 0; c0 < p.m; c0 += s.tile {
-			l := launchSpec{inflate: s.inflate, syncSteps: s.syncSteps}
-			for k := c0; k < min(c0+s.tile, p.m); k++ {
-				d := p.ds + k
-				lo, hi := s.devRows(p, d, dev, p.m-1-k)
-				if hi < lo {
-					continue
-				}
-				l.points += hi - lo + 1
-				if s.functional {
-					l.segs = append(l.segs, diagSeg{d: d, rowLo: lo, rowHi: hi})
-				}
-			}
-			if s.liveFrac < 1 && l.points > 0 {
-				// Charge the launch for the live share of its covered
-				// cells. The functional segs still span every cell —
-				// masked kernels write their dead region's zeros, so
-				// the simulated matrix stays identical to a dense
-				// sweep — but timing reflects real work only.
-				l.points = max(int(math.Round(float64(l.points)*s.liveFrac)), 1)
-			}
-			if l.points > 0 && !yield(l) {
-				return
-			}
-		}
-	}
+// devPart is one device's share of one period: the rows between its
+// partition cuts, taken from the period's first diagonal.
+type devPart struct {
+	ds, m          int
+	rowMax, colMax int // the grid's last row and column
+	// cutLo and cutHi bound the device's rows [cutLo, cutHi) before the
+	// halo overlap; cutLo is 0 for the first device and cutHi MaxInt for
+	// the last, so those edges follow the diagonal itself.
+	cutLo, cutHi int
 }
 
-// devRows returns the inclusive row range device dev computes on diagonal
-// d of period p. The partition cuts come from the period's first
-// diagonal: device j's share starts at row a0 + j*l0/nGPU. A device below
-// a partition boundary additionally computes a shrinking overlap of ov
-// rows above its cut (the redundant halo computation of Section 2.1),
-// because the wavefront dependencies point towards lower rows. With one
-// device the whole diagonal is returned.
-func (s *gpuSchedule) devRows(p gpuPeriod, d, dev, ov int) (lo, hi int) {
-	lo = grid.DiagStartRowRect(s.rows, s.cols, d)
-	hi = lo + grid.DiagLenRect(s.rows, s.cols, d) - 1
-	if s.nGPU == 1 {
-		return lo, hi
-	}
-	if dev > 0 {
-		lo = max(lo, p.a0+dev*p.l0/s.nGPU-ov)
-	}
+// part returns device dev's share of period p. cutLo is the device's
+// lower partition cut: 0 for device 0, otherwise the previous device's
+// cutHi, so each cut is computed once per period. Device j's share
+// starts at row a0 + j*l0/nGPU.
+func (s *gpuSchedule) part(p gpuPeriod, dev, cutLo int) devPart {
+	cutHi := math.MaxInt
 	if dev < s.nGPU-1 {
-		hi = min(hi, p.a0+(dev+1)*p.l0/s.nGPU-1)
+		cutHi = p.a0 + (dev+1)*p.l0/s.nGPU
 	}
-	return lo, hi
+	return devPart{ds: p.ds, m: p.m, rowMax: s.rows - 1, colMax: s.cols - 1, cutLo: cutLo, cutHi: cutHi}
+}
+
+// rows returns the inclusive row range the device computes on diagonal
+// d = ds+k of its period (empty when lo > hi). Diagonal d spans rows
+// [max(0, d-colMax), min(d, rowMax)], the range grid.DiagStartRowRect
+// and grid.DiagLenRect give for any diagonal of the band, clipped to
+// the device's cuts. A device below a partition boundary additionally computes a
+// shrinking overlap of m-1-k rows above its cut (the redundant halo
+// computation of Section 2.1), because the wavefront dependencies point
+// towards lower rows. With one device the whole diagonal is returned.
+func (dp *devPart) rows(k int) (lo, hi int) {
+	d := dp.ds + k
+	return max(d-dp.colMax, 0, dp.cutLo-(dp.m-1-k)), min(d, dp.rowMax, dp.cutHi-1)
+}
+
+// launchPoints returns the modeled point count of the device's kernel
+// launch covering diagonals [c0, c0+tile) of its period, or 0 when the
+// launch covers no cells and is skipped.
+func (s *gpuSchedule) launchPoints(dp *devPart, c0 int) int {
+	points := 0
+	for k := c0; k < min(c0+s.tile, dp.m); k++ {
+		if lo, hi := dp.rows(k); hi >= lo {
+			points += hi - lo + 1
+		}
+	}
+	if s.liveFrac < 1 && points > 0 {
+		// Charge the launch for the live share of its covered cells.
+		// Simulate's row segments still span every cell — masked
+		// kernels write their dead region's zeros, so the simulated
+		// matrix stays identical to a dense sweep — but timing reflects
+		// real work only.
+		points = max(int(math.Round(float64(points)*s.liveFrac)), 1)
+	}
+	return points
+}
+
+// launchMemo caches one device's launch cost for one SIMT pass count.
+// hw.LaunchDurationNs depends on the point count only through
+// GPUModel.PaddedPoints, so every launch of lo+1 .. lo+w points (one
+// pass count on a device of width w) costs exactly the same. hw stays
+// the single source of truth: it is consulted only when a launch falls
+// outside the cached pass count.
+type launchMemo struct {
+	gpu     *hw.GPUModel // the device the entry was priced on; nil when empty
+	lo, w   int
+	dur     float64 // hw.LaunchDurationNs
+	compute float64 // dur less the launch overhead
+}
+
+// holds reports whether the entry prices a launch of points on gpu.
+func (lm *launchMemo) holds(gpu *hw.GPUModel, points int) bool {
+	return uint(points-lm.lo-1) < uint(lm.w) && lm.gpu == gpu
+}
+
+// price reprices the entry for a launch of points on gpu through
+// hw.LaunchDurationNs, covering that launch's whole pass count.
+func (lm *launchMemo) price(s *gpuSchedule, cpu *hw.CPUModel, gpu *hw.GPUModel, points int) {
+	lm.gpu, lm.w = gpu, gpu.Width()
+	lm.lo = (points - 1) / lm.w * lm.w
+	lm.dur = gpu.LaunchDurationNs(*cpu, points, s.tsize, s.dsize, s.syncSteps, s.inflate)
+	lm.compute = lm.dur - gpu.LaunchNs
 }
 
 // Estimate models a run of inst with parameters par on sys and returns
@@ -422,7 +440,7 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 		return res, nil
 	}
 
-	if sch, ok := newGPUSchedule(pl, false, opts.GPUs); ok {
+	if sch, ok := newGPUSchedule(pl, opts.GPUs); ok {
 		gpuStart := res.RTimeNs
 		// Startup is concurrent across devices; identical models per
 		// system make max == single value, but take max for generality.
@@ -438,26 +456,44 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 			res.XferNs += x
 			res.RTimeNs += x
 		}
-		for p := range sch.periods() {
+		swapNs := float64(2*(sch.nGPU-1)) * sys.Link.XferNs(sch.swapByte)
+		// One memo per device, in a fixed array so it stays on the
+		// stack; devices past its length share slots, which only costs
+		// repricing, never correctness (each entry names its device).
+		var memo [4]launchMemo
+		for ds := sch.gLo; ds <= sch.gHi; ds += sch.period {
+			p := sch.periodAt(ds)
 			var span float64
+			cut := 0
 			for dev := 0; dev < sch.nGPU; dev++ {
 				gpu := &sys.GPUs[dev]
+				lm := &memo[dev%len(memo)]
+				dp := sch.part(p, dev, cut)
+				cut = dp.cutHi
+				// Register copies of the breakdown sums: the adds run in
+				// the same order, so the totals are bit-identical.
 				var devNs float64
-				for l := range sch.launches(p, dev) {
-					dur := gpu.LaunchDurationNs(sys.CPU, l.points, inst.TSize,
-						inst.DSize, l.syncSteps, l.inflate)
-					devNs += dur
-					res.Kernels++
-					res.LaunchNs += gpu.LaunchNs
-					res.ComputeNs += dur - gpu.LaunchNs
+				kernels, launchNs, computeNs := res.Kernels, res.LaunchNs, res.ComputeNs
+				for c0 := 0; c0 < p.m; c0 += sch.tile {
+					points := sch.launchPoints(&dp, c0)
+					if points == 0 {
+						continue
+					}
+					if !lm.holds(gpu, points) {
+						lm.price(&sch, &sys.CPU, gpu, points)
+					}
+					devNs += lm.dur
+					kernels++
+					launchNs += gpu.LaunchNs
+					computeNs += lm.compute
 				}
-				span = math.Max(span, devNs)
+				res.Kernels, res.LaunchNs, res.ComputeNs = kernels, launchNs, computeNs
+				span = max(span, devNs)
 			}
 			res.RTimeNs += span
 			if p.swapAfter {
-				s := float64(2*(sch.nGPU-1)) * sys.Link.XferNs(sch.swapByte)
-				res.SwapNs += s
-				res.RTimeNs += s
+				res.SwapNs += swapNs
+				res.RTimeNs += swapNs
 				res.Swaps++
 			}
 			if over() {
@@ -528,7 +564,7 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 	}
 	eng := p.Eng
 
-	sch, gpuPhase := newGPUSchedule(pl, true, opts.GPUs)
+	sch, gpuPhase := newGPUSchedule(pl, opts.GPUs)
 	var steps []func(next func())
 
 	// Phase 1: leading CPU triangle.
@@ -563,14 +599,27 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 				}
 			})
 		type devLaunch struct {
-			dev int
-			launchSpec
+			dev, points int
+			segs        []diagSeg
 		}
-		for period := range sch.periods() {
+		for ds := sch.gLo; ds <= sch.gHi; ds += sch.period {
+			period := sch.periodAt(ds)
 			var launches []devLaunch
+			cut := 0
 			for dev := 0; dev < sch.nGPU; dev++ {
-				for l := range sch.launches(period, dev) {
-					launches = append(launches, devLaunch{dev, l})
+				dp := sch.part(period, dev, cut)
+				cut = dp.cutHi
+				for c0 := 0; c0 < period.m; c0 += sch.tile {
+					l := devLaunch{dev: dev, points: sch.launchPoints(&dp, c0)}
+					if l.points == 0 {
+						continue
+					}
+					for k := c0; k < min(c0+sch.tile, period.m); k++ {
+						if lo, hi := dp.rows(k); hi >= lo {
+							l.segs = append(l.segs, diagSeg{d: ds + k, rowLo: lo, rowHi: hi})
+						}
+					}
+					launches = append(launches, l)
 				}
 			}
 			steps = append(steps, func(next func()) {
@@ -581,8 +630,8 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 						Points:    l.points,
 						TSize:     inst.TSize,
 						DSize:     inst.DSize,
-						SyncSteps: l.syncSteps,
-						Inflate:   l.inflate,
+						SyncSteps: sch.syncSteps,
+						Inflate:   sch.inflate,
 						Body: func() {
 							for _, s := range segs {
 								for r := s.rowLo; r <= s.rowHi; r++ {

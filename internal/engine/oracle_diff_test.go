@@ -60,6 +60,14 @@ func TestEstimateMatchesMaterializedOracle(t *testing.T) {
 			}
 		})
 	}
+	for _, sys := range hw.Systems() {
+		t.Run("bucket-edges/"+sys.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, c := range bucketEdgeCases(sys) {
+				checkOracle(t, sys, c.inst, c.par, engine.Options{})
+			}
+		})
+	}
 	for i, sys := range hw.Systems() {
 		sys, seed := sys, int64(i+1)
 		t.Run("random/"+sys.Name, func(t *testing.T) {
@@ -88,6 +96,39 @@ func TestEstimateMatchesMaterializedOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+type oracleCase struct {
+	inst plan.Instance
+	par  plan.Params
+}
+
+// bucketEdgeCases are the plans whose launches straddle a SIMT pass
+// boundary, where the launch-cost memo must reprice: sides of one less
+// than, exactly and one more than the device width (448, 480 or 512
+// work-items) and than twice it (so each half of a dual-GPU partition
+// meets the edge too), gpu-tile 1, a full and a half band, single-GPU
+// and — where the system has two GPUs — dual-GPU with halos 0 to 4,
+// each dense and masked.
+func bucketEdgeCases(sys hw.System) []oracleCase {
+	w := sys.GPUs[0].Width()
+	halos := []int{-1}
+	if sys.MaxGPUs() >= 2 {
+		halos = append(halos, 0, 1, 2, 3, 4)
+	}
+	var out []oracleCase
+	for _, side := range []int{w - 1, w, w + 1, 2*w - 1, 2 * w, 2*w + 1} {
+		for _, live := range []int{0, side * side * 3 / 5} {
+			inst := plan.Instance{Dim: side, TSize: 2000, DSize: 1, LiveCells: live}
+			for _, band := range []int{inst.MaxUsefulBand(), side / 2} {
+				for _, halo := range halos {
+					par := plan.Params{CPUTile: 8, Band: band, GPUTile: 1, Halo: halo}
+					out = append(out, oracleCase{inst, par})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // randomCase draws an instance and a configuration: square or

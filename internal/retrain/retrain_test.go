@@ -194,6 +194,67 @@ func TestRetrainClearWinPromotesExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestStatsNeverTornByPromotion polls Stats while promotions land and
+// requires every snapshot to show a promotion and its counters
+// together: the Source's generation, which Stats overlays, must never
+// run ahead of the Promotions and Retrains that account for it. The
+// Promote hook pauses after bumping the generation to widen the window
+// a torn publication would leave open.
+func TestStatsNeverTornByPromotion(t *testing.T) {
+	_, _, bad := fixtures(t)
+	dir := t.TempDir()
+	src := NewSource(staticTunerSource{bad})
+	cfg := testConfig(t, dir, src)
+	// Every attempt faces the bad champion, so every attempt promotes.
+	cfg.Champion = func(hw.System) (core.Predictor, error) { return bad, nil }
+	cfg.Promote = func(system string, tun core.Predictor) uint64 {
+		g := src.Promote(system, tun)
+		time.Sleep(2 * time.Millisecond)
+		return g
+	}
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		n := 0
+		defer func() { polled <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := r.Stats().Systems["i7-2600K"]
+			n++
+			if st.Generation > 1 && (st.Promotions < 1 || st.Retrains < 1) {
+				t.Errorf("torn status: generation %d with %d promotions, %d retrains",
+					st.Generation, st.Promotions, st.Retrains)
+				return
+			}
+			if st.Generation != 1+st.Promotions {
+				t.Errorf("generation %d does not account for %d promotions", st.Generation, st.Promotions)
+				return
+			}
+		}
+	}()
+	const rounds = 4
+	for i := 0; i < rounds; i++ {
+		seedLog(t, dir, 24)
+		r.RunOnce(context.Background())
+	}
+	close(stop)
+	if n := <-polled; n == 0 {
+		t.Fatal("Stats was never polled")
+	}
+	if st := r.Stats().Systems["i7-2600K"]; st.Promotions != rounds || st.Generation != 1+rounds {
+		t.Fatalf("want %d promotions to generation %d, got %+v", rounds, 1+rounds, st)
+	}
+}
+
 // TestRetrainTrainingErrorKeepsChampion injects a training failure (an
 // all-rectangular log — sampling yields no training instances) and
 // proves the champion keeps serving, the failure is counted, and the
