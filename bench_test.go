@@ -265,7 +265,7 @@ func BenchmarkExtOnlineTuning(b *testing.B) {
 
 func BenchmarkNativeSerial(b *testing.B) {
 	k := kernels.NewSynthetic(500, 1)
-	g := grid.New(256, 1)
+	g := grid.New(256, 256, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cpuexec.RunSerial(k, g)
@@ -274,7 +274,7 @@ func BenchmarkNativeSerial(b *testing.B) {
 
 func BenchmarkNativeParallelTiled(b *testing.B) {
 	k := kernels.NewSynthetic(500, 1)
-	g := grid.New(256, 1)
+	g := grid.New(256, 256, 1)
 	ex := cpuexec.New(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -286,7 +286,7 @@ func BenchmarkNativeParallelTiled(b *testing.B) {
 
 func BenchmarkNativeParallelUntiled(b *testing.B) {
 	k := kernels.NewSynthetic(500, 1)
-	g := grid.New(256, 1)
+	g := grid.New(256, 256, 1)
 	ex := cpuexec.New(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -305,13 +305,13 @@ func BenchmarkNativeParallelUntiled(b *testing.B) {
 func BenchmarkFrontierDense(b *testing.B) {
 	k := kernels.NewSynthetic(500, 1)
 	b.Run("serial/diag", func(b *testing.B) {
-		g := grid.New(256, 1)
+		g := grid.New(256, 256, 1)
 		for i := 0; i < b.N; i++ {
 			cpuexec.RunSerialDiagRange(k, g, 0, g.NumDiags()-1)
 		}
 	})
 	b.Run("serial/frontier", func(b *testing.B) {
-		g := grid.New(256, 1)
+		g := grid.New(256, 256, 1)
 		for i := 0; i < b.N; i++ {
 			if err := cpuexec.RunSerialFrontier(k, g, grid.NewDiagFrontier(256, 256)); err != nil {
 				b.Fatal(err)
@@ -321,7 +321,7 @@ func BenchmarkFrontierDense(b *testing.B) {
 	ex := cpuexec.New(0)
 	defer ex.Close()
 	b.Run("pooled/tilediag", func(b *testing.B) {
-		g := grid.New(256, 1)
+		g := grid.New(256, 256, 1)
 		for i := 0; i < b.N; i++ {
 			if err := ex.Run(k, g, 16); err != nil {
 				b.Fatal(err)
@@ -329,7 +329,7 @@ func BenchmarkFrontierDense(b *testing.B) {
 		}
 	})
 	b.Run("pooled/frontier", func(b *testing.B) {
-		g := grid.New(256, 1)
+		g := grid.New(256, 256, 1)
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
 			if err := ex.RunFrontier(ctx, k, g, grid.NewDiagFrontier(256, 256)); err != nil {
@@ -349,7 +349,7 @@ func BenchmarkFrontierIrregular(b *testing.B) {
 	ctx := context.Background()
 	for _, ct := range []int{1, 16} {
 		b.Run(fmt.Sprintf("ct=%d", ct), func(b *testing.B) {
-			g := grid.New(256, k.DSize())
+			g := grid.New(256, 256, k.DSize())
 			for i := 0; i < b.N; i++ {
 				if err := ex.RunIrregular(ctx, k, g, ct); err != nil {
 					b.Fatal(err)
@@ -399,7 +399,7 @@ func BenchmarkSimulateFunctional(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.Simulate(sys, 128, k, par); err != nil {
+		if _, _, err := engine.Simulate(sys, plan.Instance{Dim: 128}, k, par, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -425,7 +425,7 @@ func BenchmarkExhaustiveQuickSearch(b *testing.B) {
 // resident plan-cache lookup (one mutex acquisition, an LRU promotion
 // and a map hit).
 func BenchmarkPlanCacheHit(b *testing.B) {
-	c := tunecache.New(0, func(system string, in plan.Instance) (tunecache.Plan, error) {
+	c := tunecache.New(0, 0, func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 		return tunecache.Plan{
 			Par:     plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
 			RTimeNs: 1e6, SerialNs: 2e6,
@@ -452,7 +452,7 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 func BenchmarkPlanCacheHitParallel(b *testing.B) {
 	warm := func(b *testing.B, shards int) (*tunecache.Cache, []plan.Instance) {
 		b.Helper()
-		c := tunecache.NewSharded(4096, shards, func(system string, in plan.Instance) (tunecache.Plan, error) {
+		c := tunecache.New(4096, shards, func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 			return tunecache.Plan{
 				Par:     plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
 				RTimeNs: 1e6, SerialNs: 2e6,
@@ -506,7 +506,7 @@ func BenchmarkPlanCacheHitParallel(b *testing.B) {
 // few percent of BenchmarkPlanCacheHitParallel's sharded variant — the
 // CI trajectory gates the gap at 10%.
 func BenchmarkTuneDuringPromotion(b *testing.B) {
-	fill := func(system string, in plan.Instance) (tunecache.Plan, error) {
+	fill := func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 		return tunecache.Plan{
 			Par:     plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
 			RTimeNs: 1e6, SerialNs: 2e6,
@@ -516,7 +516,7 @@ func BenchmarkTuneDuringPromotion(b *testing.B) {
 	if shards <= 1 {
 		shards = 8
 	}
-	c := tunecache.NewSharded(4096, shards, fill)
+	c := tunecache.New(4096, shards, fill)
 	insts := make([]plan.Instance, 64)
 	for i := range insts {
 		insts[i] = plan.Instance{Dim: 300 + 25*i, TSize: 2000, DSize: 1}
@@ -597,7 +597,7 @@ func BenchmarkTuneDuringPromotion(b *testing.B) {
 // under 5% (the CI trajectory separately gates
 // BenchmarkPlanCacheHitParallel at 5%).
 func BenchmarkMetricsOverhead(b *testing.B) {
-	fill := func(system string, in plan.Instance) (tunecache.Plan, error) {
+	fill := func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 		return tunecache.Plan{
 			Par:     plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
 			RTimeNs: 1e6, SerialNs: 2e6,
@@ -606,7 +606,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	inst := plan.Instance{Dim: 1900, TSize: 2000, DSize: 1}
 
 	b.Run("bare", func(b *testing.B) {
-		c := tunecache.New(0, fill)
+		c := tunecache.New(0, 0, fill)
 		if _, _, err := c.Get("i7-2600K", inst); err != nil {
 			b.Fatal(err)
 		}
@@ -619,7 +619,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	})
 
 	b.Run("instrumented", func(b *testing.B) {
-		c := tunecache.New(0, fill)
+		c := tunecache.New(0, 0, fill)
 		if _, _, err := c.Get("i7-2600K", inst); err != nil {
 			b.Fatal(err)
 		}
@@ -792,7 +792,7 @@ func BenchmarkPredictBackend(b *testing.B) {
 // served from a warm cache and the execution measured on the modeled
 // system.
 func BenchmarkJobThroughput(b *testing.B) {
-	cache := tunecache.New(0, func(system string, in plan.Instance) (tunecache.Plan, error) {
+	cache := tunecache.New(0, 0, func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 		return tunecache.Plan{
 			Par:     plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
 			RTimeNs: 1e6, SerialNs: 2e6,
@@ -839,7 +839,7 @@ func BenchmarkJobThroughput(b *testing.B) {
 // sequential waves of two parallel jobs, so the figure prices the wave
 // barrier and driver overhead on top of raw job throughput.
 func BenchmarkPipelineThroughput(b *testing.B) {
-	cache := tunecache.New(0, func(system string, in plan.Instance) (tunecache.Plan, error) {
+	cache := tunecache.New(0, 0, func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 		return tunecache.Plan{
 			Par:     plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
 			RTimeNs: 1e6, SerialNs: 2e6,

@@ -19,7 +19,8 @@ func main() {
 	// Offload a band of 240 diagonals around the main diagonal to both
 	// GPUs, swapping 12-element halos.
 	par := wavefront.Params{CPUTile: 8, Band: 240, GPUTile: 1, Halo: 12}
-	res, g, err := wavefront.SimulateTraced(sys, dim, k, par)
+	inst := wavefront.InstanceOf(dim, dim, k)
+	res, g, err := wavefront.Simulate(sys, inst, k, par, wavefront.Options{CollectTrace: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,18 +38,17 @@ func main() {
 	fmt.Printf("redundant cells: %d (the halo trade-off)\n\n", res.RedundantPoints)
 
 	// Verify against the native serial sweep.
-	ref := wavefront.NewGrid(dim, k.DSize())
+	ref := wavefront.NewGrid(dim, dim, k.DSize())
 	wavefront.RunSerial(k, ref)
 	fmt.Println("functional result identical to serial:", g.Equal(ref))
 
 	// Compare against the simple schemes.
-	inst := wavefront.InstanceOf(dim, k)
 	serial := wavefront.SerialSeconds(sys, inst)
-	cpu, err := wavefront.Estimate(sys, inst, wavefront.CPUOnly(8))
+	cpu, err := wavefront.Estimate(sys, inst, wavefront.CPUOnly(8), wavefront.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	one, err := wavefront.Estimate(sys, inst, wavefront.Params{CPUTile: 8, Band: 240, GPUTile: 1, Halo: -1})
+	one, err := wavefront.Estimate(sys, inst, wavefront.Params{CPUTile: 8, Band: 240, GPUTile: 1, Halo: -1}, wavefront.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

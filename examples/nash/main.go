@@ -31,7 +31,7 @@ func main() {
 	for _, dim := range []int{700, 1400, 2100} {
 		for _, rounds := range []int{1, 8} {
 			k := wavefront.NewNash(rounds)
-			inst := wavefront.InstanceOf(dim, k)
+			inst := wavefront.InstanceOf(dim, dim, k)
 			pred := tuner.Predict(inst)
 
 			serial := wavefront.SerialSeconds(sys, inst)
@@ -39,7 +39,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			cpu, err := wavefront.Estimate(sys, inst, wavefront.CPUOnly(8))
+			cpu, err := wavefront.Estimate(sys, inst, wavefront.CPUOnly(8), wavefront.Options{})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -15,12 +15,12 @@ func main() {
 	k := wavefront.NewSynthetic(200, 1)
 	dim := 600
 
-	serialGrid := wavefront.NewGrid(dim, k.DSize())
+	serialGrid := wavefront.NewGrid(dim, dim, k.DSize())
 	serialTime := wavefront.RunSerial(k, serialGrid)
 	fmt.Printf("serial sweep:          %8.1fms\n", serialTime.Seconds()*1e3)
 
 	// The tiled parallel executor: 8x8 CPU tiles, all host cores.
-	parGrid := wavefront.NewGrid(dim, k.DSize())
+	parGrid := wavefront.NewGrid(dim, dim, k.DSize())
 	parTime, err := wavefront.RunParallel(k, parGrid, 8, 0)
 	if err != nil {
 		log.Fatal(err)
@@ -36,8 +36,8 @@ func main() {
 	// The same computation on a modeled heterogeneous system: a hybrid
 	// three-phase run with one simulated GPU.
 	sys, _ := wavefront.SystemByName("i3-540")
-	res, hybridGrid, err := wavefront.Simulate(sys, dim, k,
-		wavefront.Params{CPUTile: 8, Band: 400, GPUTile: 1, Halo: -1})
+	res, hybridGrid, err := wavefront.Simulate(sys, wavefront.InstanceOf(dim, dim, k), k,
+		wavefront.Params{CPUTile: 8, Band: 400, GPUTile: 1, Halo: -1}, wavefront.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

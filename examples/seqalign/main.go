@@ -24,7 +24,7 @@ func main() {
 	ref := []byte("TTGACGTGGACAAGGTACGTTCCGATCGATAACGGATCAGGTACCAGTAGGATCCTTAGGCA")
 	k := wavefront.NewSeqCompareWith(query, ref)
 	rows, cols := len(query), len(ref)
-	g := wavefront.NewRectGrid(rows, cols, 0)
+	g := wavefront.NewGrid(rows, cols, 0)
 	if _, err := wavefront.RunParallel(k, g, 8, 0); err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func main() {
 
 	// The serial sweep and the tiled executor agree bit for bit on the
 	// rectangular grid, so any tile size is safe to tune over.
-	ser := wavefront.NewRectGrid(rows, cols, 0)
+	ser := wavefront.NewGrid(rows, cols, 0)
 	wavefront.RunSerial(k, ser)
 	fmt.Printf("serial reference agrees with tiled executor: %v\n\n", ser.Equal(g))
 
@@ -41,12 +41,12 @@ func main() {
 	// kernels the memory system dominates, so cpu-tile matters. A 1500 x
 	// 4860 instance has the same cell count as the paper's square 2700.
 	sys, _ := wavefront.SystemByName("i7-3820")
-	inst := wavefront.RectInstanceOf(1500, 4860, wavefront.NewSeqCompare())
+	inst := wavefront.InstanceOf(1500, 4860, wavefront.NewSeqCompare())
 	fmt.Printf("modeled %s, %v (%d diagonals):\n", sys.Name, inst, inst.NumDiags())
 	serial := wavefront.SerialSeconds(sys, inst)
 	fmt.Printf("  serial: %8.4fs\n", serial)
 	for _, ct := range []int{1, 2, 4, 8, 10} {
-		res, err := wavefront.Estimate(sys, inst, wavefront.CPUOnly(ct))
+		res, err := wavefront.Estimate(sys, inst, wavefront.CPUOnly(ct), wavefront.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func main() {
 	}
 
 	// And the GPU is a losing proposition at tsize=0.5.
-	gpu, err := wavefront.Estimate(sys, inst, wavefront.GPUOnlyFor(inst))
+	gpu, err := wavefront.Estimate(sys, inst, wavefront.GPUOnly(inst), wavefront.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,12 +63,12 @@ func main() {
 
 	// The same alignment through the functional simulator: the modeled
 	// three-phase run computes the identical rectangular score matrix.
-	small := wavefront.RectInstanceOf(40, 70, k)
-	res, sg, err := wavefront.SimulateRect(sys, 40, 70, k, wavefront.CPUOnly(4))
+	small := wavefront.InstanceOf(40, 70, k)
+	res, sg, err := wavefront.Simulate(sys, small, k, wavefront.CPUOnly(4), wavefront.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	want := wavefront.NewRectGrid(40, 70, 0)
+	want := wavefront.NewGrid(40, 70, 0)
 	wavefront.RunSerial(k, want)
 	fmt.Printf("simulated %v in %.4fs virtual: matches native serial = %v\n",
 		small, res.RTimeSec(), sg.Equal(want))

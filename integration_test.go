@@ -9,6 +9,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -88,11 +89,11 @@ func TestFactoryWorkflowEndToEnd(t *testing.T) {
 	}
 
 	// 6. Execute the prediction functionally and verify every cell.
-	res, g, err := engine.Simulate(sys, dim, k, pred.Par)
+	res, g, err := engine.Simulate(sys, plan.Instance{Dim: dim}, k, pred.Par, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := grid.New(dim, k.DSize())
+	want := grid.New(dim, dim, k.DSize())
 	cpuexec.RunSerial(k, want)
 	if !g.Equal(want) {
 		t.Error("deployed hybrid run computed wrong results")
@@ -103,7 +104,7 @@ func TestFactoryWorkflowEndToEnd(t *testing.T) {
 
 	// 7. Runtime refinement must not regress the deployment.
 	online := core.NewOnlineTuner(deployed)
-	_, st, err := online.Refine(inst)
+	_, st, err := online.Refine(context.Background(), inst, deployed.Predict(inst), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestAllSystemsProduceConsistentPipelines(t *testing.T) {
 		if pred.Serial {
 			continue
 		}
-		_, g, err := engine.Simulate(sys, dim, k, pred.Par)
+		_, g, err := engine.Simulate(sys, plan.Instance{Dim: dim}, k, pred.Par, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", sys.Name, err)
 		}
-		want := grid.New(dim, k.DSize())
+		want := grid.New(dim, dim, k.DSize())
 		cpuexec.RunSerial(k, want)
 		if !g.Equal(want) {
 			t.Errorf("%s: functional mismatch", sys.Name)

@@ -213,10 +213,10 @@ func TestEveryAppOrderInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := grid.NewRect(rows, cols, k.DSize())
+			ref := grid.New(rows, cols, k.DSize())
 			cpuexec.RunSerial(k, ref)
 
-			diag := grid.NewRect(rows, cols, k.DSize())
+			diag := grid.New(rows, cols, k.DSize())
 			cpuexec.RunSerialDiagRange(k, diag, 0, diag.NumDiags()-1)
 			if !ref.Equal(diag) {
 				t.Error("anti-diagonal order diverges from row-major")
@@ -225,7 +225,7 @@ func TestEveryAppOrderInvariant(t *testing.T) {
 			ex := cpuexec.New(4)
 			defer ex.Close()
 			for _, ct := range []int{1, 3, 8} {
-				tiled := grid.NewRect(rows, cols, k.DSize())
+				tiled := grid.New(rows, cols, k.DSize())
 				if err := ex.Run(k, tiled, ct); err != nil {
 					t.Fatal(err)
 				}
@@ -237,7 +237,7 @@ func TestEveryAppOrderInvariant(t *testing.T) {
 			// Irregular-frontier execution over the kernel's declared
 			// live region: serial drain, then pooled cell-level and
 			// tiled in-degree scheduling.
-			irr := grid.NewRect(rows, cols, k.DSize())
+			irr := grid.New(rows, cols, k.DSize())
 			f := grid.NewIrregularFrontier(rows, cols, kernels.StencilOf(k), kernels.LiveOf(k, rows, cols))
 			if err := cpuexec.RunSerialFrontier(k, irr, f); err != nil {
 				t.Fatal(err)
@@ -246,7 +246,7 @@ func TestEveryAppOrderInvariant(t *testing.T) {
 				t.Error("serial frontier execution diverges from row-major")
 			}
 			for _, ct := range []int{1, 5} {
-				fg := grid.NewRect(rows, cols, k.DSize())
+				fg := grid.New(rows, cols, k.DSize())
 				if err := ex.RunIrregular(context.Background(), k, fg, ct); err != nil {
 					t.Fatal(err)
 				}
@@ -258,7 +258,7 @@ func TestEveryAppOrderInvariant(t *testing.T) {
 			// Three-phase hybrid simulation with a dual-GPU band.
 			inst := plan.Instance{Rows: rows, Cols: cols}
 			par := plan.Params{CPUTile: 4, Band: 6, GPUTile: 2, Halo: 2}
-			_, sg, err := engine.SimulateInst(sys, inst, k, par, engine.Options{})
+			_, sg, err := engine.Simulate(sys, inst, k, par, engine.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

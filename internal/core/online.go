@@ -41,27 +41,20 @@ func NewOnlineTuner(base Predictor) *OnlineTuner {
 	return &OnlineTuner{Base: base, Budget: 12}
 }
 
-// Refine predicts offline and then refines at runtime.
-func (o *OnlineTuner) Refine(inst plan.Instance) (Prediction, RefineStats, error) {
-	return o.RefineContext(context.Background(), inst)
-}
-
-// RefineContext is Refine with cooperative cancellation: between probes
-// the refinement observes ctx and, once it is done, returns the
-// incumbent configuration together with ctx's error. The job subsystem
-// cancels in-flight refinements through this path.
-func (o *OnlineTuner) RefineContext(ctx context.Context, inst plan.Instance) (Prediction, RefineStats, error) {
-	return o.RefineDecisionContext(ctx, inst, o.Base.Predict(inst), 0)
-}
-
-// RefineDecisionContext refines an explicit starting decision — e.g. a
-// plan-cache entry — without re-running the offline predict: a serial
-// decision probes the parallel alternative once against the baseline
-// (the gate may have been wrong); a parallel decision hill-climbs from
-// its params and falls back to the baseline if even the refined
-// configuration loses to it. serialNs is the known sequential baseline
-// in nanoseconds (<= 0 recomputes it from the model).
-func (o *OnlineTuner) RefineDecisionContext(ctx context.Context, inst plan.Instance, dec Prediction, serialNs float64) (Prediction, RefineStats, error) {
+// Refine refines a starting decision at runtime — the offline
+// prediction (o.Base.Predict(inst)) or, e.g., a plan-cache entry, without
+// re-running the offline predict: a serial decision probes the parallel
+// alternative once against the baseline (the gate may have been wrong);
+// a parallel decision hill-climbs from its params and falls back to the
+// baseline if even the refined configuration loses to it. serialNs is
+// the known sequential baseline in nanoseconds (<= 0 recomputes it from
+// the model).
+//
+// Refinement is cooperatively cancellable: ctx is checked before every
+// probe measurement, and once it is done the incumbent configuration is
+// returned with the stats accumulated so far and ctx's error. The job
+// subsystem cancels in-flight refinements through this path.
+func (o *OnlineTuner) Refine(ctx context.Context, inst plan.Instance, dec Prediction, serialNs float64) (Prediction, RefineStats, error) {
 	if serialNs <= 0 {
 		serialNs = engine.SerialNs(o.Base.System(), inst)
 	}
@@ -82,7 +75,7 @@ func (o *OnlineTuner) RefineDecisionContext(ctx context.Context, inst plan.Insta
 		}
 		return dec, st, nil
 	}
-	refined, st, err := o.RefineFromContext(ctx, inst, dec.Par)
+	refined, st, err := o.climb(ctx, inst, dec.Par)
 	if err != nil {
 		return dec, st, err
 	}
@@ -95,19 +88,13 @@ func (o *OnlineTuner) RefineDecisionContext(ctx context.Context, inst plan.Insta
 	return refined, st, nil
 }
 
-// RefineFrom hill-climbs from an explicit starting configuration: each
-// round measures the neighbours of the incumbent and moves to the best
-// strict improvement, until the probe budget is exhausted or a local
-// optimum is reached.
-func (o *OnlineTuner) RefineFrom(inst plan.Instance, start plan.Params) (Prediction, RefineStats, error) {
-	return o.RefineFromContext(context.Background(), inst, start)
-}
-
-// RefineFromContext is RefineFrom with cooperative cancellation: ctx is
-// checked before every probe measurement, and once it is done the
-// incumbent (best so far) is returned with the stats accumulated up to
-// that point and ctx's error.
-func (o *OnlineTuner) RefineFromContext(ctx context.Context, inst plan.Instance, start plan.Params) (Prediction, RefineStats, error) {
+// climb hill-climbs from an explicit starting configuration: each round
+// measures the neighbours of the incumbent and moves to the best strict
+// improvement, until the probe budget is exhausted or a local optimum is
+// reached. ctx is checked before every probe measurement; once it is
+// done the incumbent (best so far) is returned with the stats
+// accumulated up to that point and ctx's error.
+func (o *OnlineTuner) climb(ctx context.Context, inst plan.Instance, start plan.Params) (Prediction, RefineStats, error) {
 	budget := o.Budget
 	if budget <= 0 {
 		budget = 12

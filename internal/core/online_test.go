@@ -42,7 +42,7 @@ func TestOnlineNeverWorseThanOffline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, st, err := online.Refine(inst)
+		_, st, err := online.Refine(context.Background(), inst, online.Base.Predict(inst), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,8 @@ func TestOnlineRespectsBudget(t *testing.T) {
 	tu := trainedTuner(t, hw.I7_2600K())
 	online := NewOnlineTuner(tu)
 	online.Budget = 5
-	_, st, err := online.Refine(plan.Instance{Dim: 1500, TSize: 4000, DSize: 1})
+	inst := plan.Instance{Dim: 1500, TSize: 4000, DSize: 1}
+	_, st, err := online.Refine(context.Background(), inst, online.Base.Predict(inst), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestOnlineRecoversFromBadStart(t *testing.T) {
 	online.Budget = 30
 	inst := plan.Instance{Dim: 2700, TSize: 12000, DSize: 1}
 	bad := plan.Params{CPUTile: 1, Band: -1, GPUTile: 1, Halo: -1}
-	pred, st, err := online.RefineFrom(inst, bad)
+	pred, st, err := online.climb(context.Background(), inst, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestOnlineLocalOptimumStops(t *testing.T) {
 		t.Fatal("no optimum")
 	}
 	online := NewOnlineTuner(tu)
-	_, st, err := online.RefineFrom(inst, best.Par)
+	_, st, err := online.climb(context.Background(), inst, best.Par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestOnlineSerialGate(t *testing.T) {
 	tu := trainedTuner(t, hw.I3_540())
 	online := NewOnlineTuner(tu)
 	inst := plan.Instance{Dim: 20, TSize: 1, DSize: 0}
-	pred, st, err := online.Refine(inst)
+	pred, st, err := online.Refine(context.Background(), inst, online.Base.Predict(inst), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestRefineFromBudgetMidNeighbourhood(t *testing.T) {
 	if n := len(neighbours(inst, start.Normalize())); n < 2 {
 		t.Fatalf("start has only %d neighbours; the test needs a full neighbourhood", n)
 	}
-	_, st, err := online.RefineFrom(inst, start)
+	_, st, err := online.climb(context.Background(), inst, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestRefineSerialFallback(t *testing.T) {
 		t.Fatal("constructed gate still predicts serial; the test needs a parallel prediction")
 	}
 	online := NewOnlineTuner(tu)
-	pred, st, err := online.Refine(inst)
+	pred, st, err := online.Refine(context.Background(), inst, online.Base.Predict(inst), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestRefineDecisionFromCachedSerial(t *testing.T) {
 	inst := plan.Instance{Dim: 20, TSize: 1, DSize: 0}
 	dec := Prediction{Serial: true, Par: engine.CPUOnlyParams(8)}
 	serialNs := engine.SerialNs(tu.Sys, inst)
-	pred, st, err := online.RefineDecisionContext(context.Background(), inst, dec, serialNs)
+	pred, st, err := online.Refine(context.Background(), inst, dec, serialNs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestRefineFromUnmeasurableStart(t *testing.T) {
 	tu := trainedTuner(t, hw.I7_2600K())
 	online := NewOnlineTuner(tu)
 	inst := plan.Instance{Dim: 500, TSize: 100, DSize: 1}
-	if _, _, err := online.RefineFrom(inst, plan.Params{CPUTile: 0, Band: -1, GPUTile: 1, Halo: -1}); err == nil {
+	if _, _, err := online.climb(context.Background(), inst, plan.Params{CPUTile: 0, Band: -1, GPUTile: 1, Halo: -1}); err == nil {
 		t.Error("unbuildable start must fail")
 	}
 }
@@ -303,7 +304,7 @@ func TestRefineFromContextCanceled(t *testing.T) {
 	inst := plan.Instance{Dim: 1500, TSize: 2000, DSize: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, st, err := online.RefineFromContext(ctx, inst, plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1})
+	_, st, err := online.climb(ctx, inst, plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

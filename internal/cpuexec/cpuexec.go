@@ -41,8 +41,8 @@ func RunSerialDiagRange(k kernels.Kernel, g *grid.Grid, lo, hi int) {
 		hi = g.NumDiags() - 1
 	}
 	for d := lo; d <= hi; d++ {
-		for i := 0; i < grid.DiagLenRect(rows, cols, d); i++ {
-			r, c := grid.DiagCellRect(rows, cols, d, i)
+		for i := 0; i < grid.DiagLen(rows, cols, d); i++ {
+			r, c := grid.DiagCell(rows, cols, d, i)
 			k.Compute(g, r, c)
 		}
 	}

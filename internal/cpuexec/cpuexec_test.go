@@ -17,10 +17,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 		kernels.NewSeqCompare(),
 		kernels.NewKnapsack(33),
 	} {
-		want := grid.New(33, k.DSize())
+		want := grid.New(33, 33, k.DSize())
 		RunSerial(k, want)
 		for _, ct := range []int{1, 2, 4, 8, 10, 33} {
-			got := grid.New(33, k.DSize())
+			got := grid.New(33, 33, k.DSize())
 			ex := New(4)
 			if err := ex.Run(k, got, ct); err != nil {
 				t.Fatalf("%s ct=%d: %v", k.Name(), ct, err)
@@ -40,9 +40,9 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 		ct := int(rawCt)%dim + 1
 		w := int(rawW)%6 + 1
 		k := kernels.NewSynthetic(2, 1)
-		want := grid.New(dim, 1)
+		want := grid.New(dim, dim, 1)
 		RunSerial(k, want)
-		got := grid.New(dim, 1)
+		got := grid.New(dim, dim, 1)
 		if err := New(w).Run(k, got, ct); err != nil {
 			return false
 		}
@@ -58,12 +58,12 @@ func TestThreePhaseComposition(t *testing.T) {
 	// CPU must equal one full sweep: phase boundaries cut along diagonals.
 	k := kernels.NewSynthetic(2, 1)
 	dim := 25
-	want := grid.New(dim, 1)
+	want := grid.New(dim, dim, 1)
 	RunSerial(k, want)
 
-	got := grid.New(dim, 1)
+	got := grid.New(dim, dim, 1)
 	ex := New(3)
-	d := grid.NumDiags(dim)
+	d := grid.NumDiags(dim, dim)
 	if err := ex.RunDiagRange(k, got, 4, 0, 9); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestThreePhaseComposition(t *testing.T) {
 func TestRunDiagRangeOnlyTouchesRange(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
 	dim := 12
-	g := grid.New(dim, 0)
+	g := grid.New(dim, dim, 0)
 	if err := New(2).RunDiagRange(k, g, 3, 5, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +98,12 @@ func TestRunDiagRangeOnlyTouchesRange(t *testing.T) {
 
 func TestRunDiagRangeClampsBounds(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
-	g := grid.New(8, 0)
+	g := grid.New(8, 8, 0)
 	// Out-of-range lo/hi must clamp rather than fail.
 	if err := New(2).RunDiagRange(k, g, 2, -5, 1000); err != nil {
 		t.Fatal(err)
 	}
-	want := grid.New(8, 0)
+	want := grid.New(8, 8, 0)
 	RunSerial(k, want)
 	if !g.Equal(want) {
 		t.Error("clamped full range differs from serial")
@@ -112,7 +112,7 @@ func TestRunDiagRangeClampsBounds(t *testing.T) {
 
 func TestRunDiagRangeEmpty(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
-	g := grid.New(8, 0)
+	g := grid.New(8, 8, 0)
 	if err := New(2).RunDiagRange(k, g, 2, 6, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRunDiagRangeEmpty(t *testing.T) {
 
 func TestRunRejectsBadTile(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
-	g := grid.New(8, 0)
+	g := grid.New(8, 8, 0)
 	if err := New(1).Run(k, g, 0); err == nil {
 		t.Error("ct=0 must be rejected")
 	}
@@ -148,9 +148,9 @@ func TestSerialDiagRangeMatchesRowMajorPrefix(t *testing.T) {
 	// sweep restricted to those diagonals.
 	k := kernels.NewSeqCompare()
 	dim := 16
-	a := grid.New(dim, 0)
+	a := grid.New(dim, dim, 0)
 	RunSerialDiagRange(k, a, 0, 12)
-	b := grid.New(dim, 0)
+	b := grid.New(dim, dim, 0)
 	for r := 0; r < dim; r++ {
 		for c := 0; c < dim; c++ {
 			if r+c <= 12 {
@@ -166,12 +166,12 @@ func TestSerialDiagRangeMatchesRowMajorPrefix(t *testing.T) {
 func TestExecutorReuseAndClose(t *testing.T) {
 	// One executor across many runs must stay correct (persistent pool).
 	k := kernels.NewSynthetic(2, 1)
-	want := grid.New(30, 1)
+	want := grid.New(30, 30, 1)
 	RunSerial(k, want)
 	ex := New(3)
 	defer ex.Close()
 	for i := 0; i < 10; i++ {
-		g := grid.New(30, 1)
+		g := grid.New(30, 30, 1)
 		if err := ex.Run(k, g, 5); err != nil {
 			t.Fatal(err)
 		}
@@ -183,11 +183,11 @@ func TestExecutorReuseAndClose(t *testing.T) {
 
 func TestSingleWorkerExecutor(t *testing.T) {
 	k := kernels.NewSeqCompare()
-	want := grid.New(25, 0)
+	want := grid.New(25, 25, 0)
 	RunSerial(k, want)
 	ex := New(1)
 	defer ex.Close()
-	g := grid.New(25, 0)
+	g := grid.New(25, 25, 0)
 	if err := ex.Run(k, g, 4); err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,11 @@ func frontierKernels() []kernels.Kernel {
 // equals the row-major reference, for dense and irregular frontiers.
 func TestRunSerialFrontierMatchesSerial(t *testing.T) {
 	for _, k := range frontierKernels() {
-		want := grid.NewRect(19, 23, k.DSize())
+		want := grid.New(19, 23, k.DSize())
 		RunSerial(k, want)
 		rows, cols := want.Rows(), want.Cols()
 
-		dense := grid.NewRect(rows, cols, k.DSize())
+		dense := grid.New(rows, cols, k.DSize())
 		if err := RunSerialFrontier(k, dense, grid.NewDiagFrontier(rows, cols)); err != nil {
 			t.Fatalf("%s dense frontier: %v", k.Name(), err)
 		}
@@ -38,7 +38,7 @@ func TestRunSerialFrontierMatchesSerial(t *testing.T) {
 			t.Errorf("%s: dense frontier result differs from serial", k.Name())
 		}
 
-		irr := grid.NewRect(rows, cols, k.DSize())
+		irr := grid.New(rows, cols, k.DSize())
 		f := grid.NewIrregularFrontier(rows, cols, kernels.StencilOf(k), kernels.LiveOf(k, rows, cols))
 		if err := RunSerialFrontier(k, irr, f); err != nil {
 			t.Fatalf("%s irregular frontier: %v", k.Name(), err)
@@ -53,12 +53,12 @@ func TestRunSerialFrontierMatchesSerial(t *testing.T) {
 // the serial reference across worker counts.
 func TestRunFrontierMatchesSerial(t *testing.T) {
 	for _, k := range frontierKernels() {
-		want := grid.NewRect(26, 31, k.DSize())
+		want := grid.New(26, 31, k.DSize())
 		RunSerial(k, want)
 		rows, cols := want.Rows(), want.Cols()
 		for _, w := range []int{1, 3, 6} {
 			ex := New(w)
-			got := grid.NewRect(rows, cols, k.DSize())
+			got := grid.New(rows, cols, k.DSize())
 			f := grid.NewIrregularFrontier(rows, cols, kernels.StencilOf(k), kernels.LiveOf(k, rows, cols))
 			if err := ex.RunFrontier(context.Background(), k, got, f); err != nil {
 				t.Fatalf("%s w=%d: %v", k.Name(), w, err)
@@ -75,13 +75,13 @@ func TestRunFrontierMatchesSerial(t *testing.T) {
 // and tiled — agrees with the serial reference for every kernel.
 func TestRunIrregularMatchesSerial(t *testing.T) {
 	for _, k := range frontierKernels() {
-		want := grid.NewRect(29, 24, k.DSize())
+		want := grid.New(29, 24, k.DSize())
 		RunSerial(k, want)
 		rows, cols := want.Rows(), want.Cols()
 		ex := New(4)
 		defer ex.Close()
 		for _, ct := range []int{1, 2, 5, 8, 29} {
-			got := grid.NewRect(rows, cols, k.DSize())
+			got := grid.New(rows, cols, k.DSize())
 			if err := ex.RunIrregular(context.Background(), k, got, ct); err != nil {
 				t.Fatalf("%s ct=%d: %v", k.Name(), ct, err)
 			}
@@ -99,20 +99,20 @@ func TestRunFrontierEmptyAndSingle(t *testing.T) {
 	ex := New(2)
 	defer ex.Close()
 
-	g := grid.NewRect(6, 6, k.DSize())
+	g := grid.New(6, 6, k.DSize())
 	empty := grid.NewIrregularFrontier(6, 6, grid.DenseStencil(), func(r, c int) bool { return false })
 	if err := ex.RunFrontier(context.Background(), k, g, empty); err != nil {
 		t.Fatalf("empty frontier: %v", err)
 	}
-	if !g.Equal(grid.NewRect(6, 6, k.DSize())) {
+	if !g.Equal(grid.New(6, 6, k.DSize())) {
 		t.Error("empty frontier modified the grid")
 	}
 
-	one := grid.NewRect(1, 1, k.DSize())
+	one := grid.New(1, 1, k.DSize())
 	if err := ex.RunFrontier(context.Background(), k, one, grid.NewIrregularFrontier(1, 1, nil, nil)); err != nil {
 		t.Fatalf("1x1 frontier: %v", err)
 	}
-	ref := grid.NewRect(1, 1, k.DSize())
+	ref := grid.New(1, 1, k.DSize())
 	k.Compute(ref, 0, 0)
 	if !one.Equal(ref) {
 		t.Error("1x1 frontier did not compute its cell")
@@ -127,7 +127,7 @@ func TestRunFrontierDeadEnd(t *testing.T) {
 	stuck := func() grid.Frontier {
 		return grid.NewIrregularFrontier(4, 4, grid.Stencil{{DR: 0, DC: -1}, {DR: 0, DC: 1}}, nil)
 	}
-	g := grid.NewRect(4, 4, k.DSize())
+	g := grid.New(4, 4, k.DSize())
 	if err := RunSerialFrontier(k, g, stuck()); !errors.Is(err, ErrFrontierStuck) {
 		t.Errorf("serial: err = %v, want ErrFrontierStuck", err)
 	}
@@ -166,7 +166,7 @@ func TestRunFrontierCancel(t *testing.T) {
 
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	g := grid.NewRect(8, 8, k.DSize())
+	g := grid.New(8, 8, k.DSize())
 	err := ex.RunFrontier(pre, k, g, grid.NewDiagFrontier(8, 8))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled: err = %v, want context.Canceled", err)
@@ -175,7 +175,7 @@ func TestRunFrontierCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	f := &cancellingFrontier{inner: grid.NewDiagFrontier(20, 20), cancel: cancel, after: 5}
-	err = ex.RunFrontier(ctx, k, grid.NewRect(20, 20, k.DSize()), f)
+	err = ex.RunFrontier(ctx, k, grid.New(20, 20, k.DSize()), f)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-frontier: err = %v, want context.Canceled", err)
 	}
@@ -186,7 +186,7 @@ func TestRunFrontierCancel(t *testing.T) {
 	// RunIrregular honours cancellation too.
 	ictx, icancel := context.WithCancel(context.Background())
 	icancel()
-	if err := ex.RunIrregular(ictx, k, grid.NewRect(8, 8, k.DSize()), 2); !errors.Is(err, context.Canceled) {
+	if err := ex.RunIrregular(ictx, k, grid.New(8, 8, k.DSize()), 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunIrregular pre-cancelled: err = %v, want context.Canceled", err)
 	}
 }
@@ -196,7 +196,7 @@ func TestRunFrontierClosed(t *testing.T) {
 	k := kernels.NewSynthetic(2, 1)
 	ex := New(2)
 	ex.Close()
-	g := grid.NewRect(4, 4, k.DSize())
+	g := grid.New(4, 4, k.DSize())
 	if err := ex.RunFrontier(context.Background(), k, g, grid.NewDiagFrontier(4, 4)); !errors.Is(err, ErrClosed) {
 		t.Errorf("RunFrontier on closed executor: %v, want ErrClosed", err)
 	}
@@ -217,12 +217,12 @@ func TestFrontierSchedulerStress(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			k := ks[i%len(ks)]
-			want := grid.NewRect(40, 35, k.DSize())
+			want := grid.New(40, 35, k.DSize())
 			RunSerial(k, want)
 			ex := New(1 + i%4)
 			defer ex.Close()
 			for rep := 0; rep < 8; rep++ {
-				got := grid.NewRect(40, 35, k.DSize())
+				got := grid.New(40, 35, k.DSize())
 				var err error
 				if rep%2 == 0 {
 					err = ex.RunIrregular(context.Background(), k, got, 1+rep%7)

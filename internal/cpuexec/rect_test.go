@@ -20,13 +20,13 @@ func TestRectParallelMatchesSerial(t *testing.T) {
 			kernels.NewSeqCompare(),
 			kernels.NewKnapsack(rows),
 		} {
-			want := grid.NewRect(rows, cols, k.DSize())
+			want := grid.New(rows, cols, k.DSize())
 			RunSerial(k, want)
 			for _, ct := range []int{1, 2, 3, 7, 16, 41} {
 				if maxSide := max(rows, cols); ct > maxSide {
 					continue
 				}
-				got := grid.NewRect(rows, cols, k.DSize())
+				got := grid.New(rows, cols, k.DSize())
 				ex := New(4)
 				err := ex.Run(k, got, ct)
 				ex.Close()
@@ -58,9 +58,9 @@ func TestRectParallelMatchesSerialProperty(t *testing.T) {
 		ct := int(rawCt)%maxSide + 1
 		w := int(rawW)%6 + 1
 		k := kernels.NewSynthetic(2, 1)
-		want := grid.NewRect(rows, cols, 1)
+		want := grid.New(rows, cols, 1)
 		RunSerial(k, want)
-		got := grid.NewRect(rows, cols, 1)
+		got := grid.New(rows, cols, 1)
 		ex := New(w)
 		defer ex.Close()
 		if err := ex.Run(k, got, ct); err != nil {
@@ -78,9 +78,9 @@ func TestRectSerialDiagRangeCoversPrefix(t *testing.T) {
 	// row-major sweep restricted to the same diagonals.
 	k := kernels.NewSeqCompare()
 	rows, cols := 9, 21
-	a := grid.NewRect(rows, cols, 0)
+	a := grid.New(rows, cols, 0)
 	RunSerialDiagRange(k, a, 0, 14)
-	b := grid.NewRect(rows, cols, 0)
+	b := grid.New(rows, cols, 0)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if r+c <= 14 {
@@ -98,13 +98,13 @@ func TestRectThreePhaseComposition(t *testing.T) {
 	// sweep exactly as on square grids.
 	k := kernels.NewSynthetic(2, 1)
 	rows, cols := 14, 33
-	want := grid.NewRect(rows, cols, 1)
+	want := grid.New(rows, cols, 1)
 	RunSerial(k, want)
 
-	got := grid.NewRect(rows, cols, 1)
+	got := grid.New(rows, cols, 1)
 	ex := New(3)
 	defer ex.Close()
-	d := grid.NumDiagsRect(rows, cols)
+	d := grid.NumDiags(rows, cols)
 	if err := ex.RunDiagRange(k, got, 4, 0, 11); err != nil {
 		t.Fatal(err)
 	}

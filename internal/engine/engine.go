@@ -79,7 +79,7 @@ type Breakdown struct {
 	// FrontierSteps is the number of barrier-separated wavefront steps
 	// of the executed schedule. The modeled three-phase run sweeps the
 	// anti-diagonal frontier, so it equals the diagonal count; consumers
-	// must use it (not grid.NumDiagsRect recomputed from the shape) for
+	// must use it (not grid.NumDiags recomputed from the shape) for
 	// progress accounting, because irregular frontier executions report
 	// their own, generally smaller, step counts.
 	FrontierSteps int
@@ -150,7 +150,7 @@ func cpuTileDiags(rows, cols, ct, lo, hi int) iter.Seq2[int, int] {
 		nTr := (rows + ct - 1) / ct
 		nTc := (cols + ct - 1) / ct
 		for t := lo / ct; t <= hi/ct; t++ {
-			cells := grid.CellsInDiagRangeRect(rows, cols, max(t*ct, lo), min((t+1)*ct-1, hi))
+			cells := grid.CellsInDiagRange(rows, cols, max(t*ct, lo), min((t+1)*ct-1, hi))
 			if cells == 0 {
 				continue
 			}
@@ -173,38 +173,22 @@ func SerialNs(sys hw.System, inst plan.Instance) float64 {
 	return float64(inst.WorkCells()) * per
 }
 
-// MeasureNs returns the modeled runtime of actually executing a tuning
+// Measure returns the modeled runtime of actually executing a tuning
 // decision on sys — the stand-in for wall-clock timing a real run, used
 // by the job executor: the optimized sequential baseline when serial is
-// set, otherwise the uncensored hybrid estimate of par.
-func MeasureNs(sys hw.System, inst plan.Instance, serial bool, par plan.Params) (float64, error) {
-	ns, _, err := MeasureStepsNs(sys, inst, serial, par)
-	return ns, err
-}
-
-// MeasureStepsNs is MeasureNs extended with the executed schedule's
-// wavefront step count: the modeled run's FrontierSteps for a hybrid
-// execution, and 1 for the serial baseline (a single uninterrupted
-// row-major sweep has no inter-step barriers). Progress and throughput
-// reporting must derive step totals from here rather than recomputing
-// NumDiags from the shape, which misstates irregular runs.
-func MeasureStepsNs(sys hw.System, inst plan.Instance, serial bool, par plan.Params) (float64, int, error) {
-	if serial {
-		return SerialNs(sys, inst), 1, nil
-	}
-	res, err := Estimate(sys, inst, par, Options{})
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.RTimeNs, res.FrontierSteps, nil
-}
-
-// MeasureStepsNsCtx is MeasureStepsNs wrapped in an engine.measure
-// trace span attached to ctx's span tree, annotated with the executed
-// shape and schedule (serial vs hybrid, modeled time, step count). The
-// measurement itself is identical; ctx carries only telemetry, not
+// set, otherwise the uncensored hybrid estimate of par. It also returns
+// the executed schedule's wavefront step count: the modeled run's
+// FrontierSteps for a hybrid execution, and 1 for the serial baseline (a
+// single uninterrupted row-major sweep has no inter-step barriers).
+// Progress and throughput reporting must derive step totals from here
+// rather than recomputing NumDiags from the shape, which misstates
+// irregular runs.
+//
+// The measurement runs in an engine.measure trace span attached to ctx's
+// span tree, annotated with the executed shape and schedule (serial vs
+// hybrid, modeled time, step count). ctx carries only telemetry, not
 // cancellation — the engine's analytic walk is not interruptible.
-func MeasureStepsNsCtx(ctx context.Context, sys hw.System, inst plan.Instance, serial bool, par plan.Params) (float64, int, error) {
+func Measure(ctx context.Context, sys hw.System, inst plan.Instance, serial bool, par plan.Params) (ns float64, steps int, err error) {
 	_, span := telemetry.StartSpan(ctx, "engine.measure")
 	if span != nil {
 		rows, cols := inst.Shape()
@@ -212,7 +196,14 @@ func MeasureStepsNsCtx(ctx context.Context, sys hw.System, inst plan.Instance, s
 			Annotate("shape", fmt.Sprintf("%dx%d", rows, cols)).
 			Annotate("serial", serial)
 	}
-	ns, steps, err := MeasureStepsNs(sys, inst, serial, par)
+	if serial {
+		ns, steps = SerialNs(sys, inst), 1
+	} else {
+		var res Result
+		if res, err = Estimate(sys, inst, par, Options{}); err == nil {
+			ns, steps = res.RTimeNs, res.FrontierSteps
+		}
+	}
 	if span != nil {
 		if err == nil {
 			span.Annotate("modeled_ns", fmt.Sprintf("%.0f", ns)).Annotate("steps", steps)
@@ -290,7 +281,7 @@ func newGPUSchedule(pl *plan.Plan, wantGPUs int) (s gpuSchedule, ok bool) {
 	}
 	// Input: the two predecessor diagonals feeding the band, split across
 	// devices.
-	s.xferIn = (grid.DiagLenRect(rows, cols, pl.GLo-1) + grid.DiagLenRect(rows, cols, pl.GLo-2)) * s.elem / nGPU
+	s.xferIn = (grid.DiagLen(rows, cols, pl.GLo-1) + grid.DiagLen(rows, cols, pl.GLo-2)) * s.elem / nGPU
 	if nGPU >= 2 {
 		s.period = pl.SwapPeriod()
 		s.swapByte = max(pl.Par.Halo, 1) * s.elem
@@ -319,8 +310,8 @@ func (s *gpuSchedule) periodAt(ds int) gpuPeriod {
 	m := min(s.period, s.gHi-ds+1)
 	return gpuPeriod{
 		ds: ds, m: m,
-		a0:        grid.DiagStartRowRect(s.rows, s.cols, ds),
-		l0:        grid.DiagLenRect(s.rows, s.cols, ds),
+		a0:        grid.DiagStartRow(s.rows, s.cols, ds),
+		l0:        grid.DiagLen(s.rows, s.cols, ds),
 		swapAfter: s.nGPU >= 2 && ds+m <= s.gHi,
 	}
 }
@@ -350,8 +341,8 @@ func (s *gpuSchedule) part(p gpuPeriod, dev, cutLo int) devPart {
 
 // rows returns the inclusive row range the device computes on diagonal
 // d = ds+k of its period (empty when lo > hi). Diagonal d spans rows
-// [max(0, d-colMax), min(d, rowMax)], the range grid.DiagStartRowRect
-// and grid.DiagLenRect give for any diagonal of the band, clipped to
+// [max(0, d-colMax), min(d, rowMax)], the range grid.DiagStartRow
+// and grid.DiagLen give for any diagonal of the band, clipped to
 // the device's cuts. A device below a partition boundary additionally computes a
 // shrinking overlap of m-1-k rows above its cut (the redundant halo
 // computation of Section 2.1), because the wavefront dependencies point
@@ -518,28 +509,14 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 	return res, nil
 }
 
-// Simulate executes a functional run of kernel k (dim x dim) with
-// parameters par on the modeled system: real cell values are computed via
-// the simulated OpenCL runtime and CPU phases, and the returned result
-// carries the virtual time of the discrete-event simulation.
-func Simulate(sys hw.System, dim int, k kernels.Kernel, par plan.Params) (Result, *grid.Grid, error) {
-	return SimulateOpts(sys, dim, k, par, Options{})
-}
-
-// SimulateOpts is Simulate with explicit options (e.g. widening to more
-// than two GPUs).
-func SimulateOpts(sys hw.System, dim int, k kernels.Kernel, par plan.Params, opts Options) (Result, *grid.Grid, error) {
-	return SimulateInst(sys, plan.Instance{Dim: dim}, k, par, opts)
-}
-
-// SimulateRect is Simulate over a rectangular rows x cols grid.
-func SimulateRect(sys hw.System, rows, cols int, k kernels.Kernel, par plan.Params) (Result, *grid.Grid, error) {
-	return SimulateInst(sys, plan.Instance{Rows: rows, Cols: cols}, k, par, Options{})
-}
-
-// SimulateInst executes a functional run over the shape of inst; the
-// granularity parameters (TSize, DSize) are always taken from the kernel.
-func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.Params, opts Options) (Result, *grid.Grid, error) {
+// Simulate executes a functional run of kernel k over the shape of inst
+// with parameters par on the modeled system: real cell values are
+// computed via the simulated OpenCL runtime and CPU phases, and the
+// returned result carries the virtual time of the discrete-event
+// simulation. The granularity parameters (TSize, DSize) are always taken
+// from the kernel; opts may widen to more than two GPUs or collect a
+// command trace.
+func Simulate(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.Params, opts Options) (Result, *grid.Grid, error) {
 	inst.TSize, inst.DSize = k.TSize(), k.DSize()
 	if err := validate(sys, par); err != nil {
 		return Result{}, nil, err
@@ -555,7 +532,7 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 	res := Result{Plan: pl}
 	res.FrontierSteps = inst.NumDiags()
 	rows, cols := inst.Shape()
-	g := grid.NewRect(rows, cols, k.DSize())
+	g := grid.New(rows, cols, k.DSize())
 	p := simcl.NewPlatform(sys)
 	p.Functional = true
 	if opts.CollectTrace {
@@ -706,15 +683,10 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 	return res, g, nil
 }
 
-// Reference computes the grid serially on the host, for verifying
-// simulated results.
-func Reference(dim int, k kernels.Kernel) *grid.Grid {
-	return ReferenceRect(dim, dim, k)
-}
-
-// ReferenceRect computes a rows x cols grid serially on the host.
-func ReferenceRect(rows, cols int, k kernels.Kernel) *grid.Grid {
-	g := grid.NewRect(rows, cols, k.DSize())
+// Reference computes a rows x cols grid serially on the host, for
+// verifying simulated results.
+func Reference(rows, cols int, k kernels.Kernel) *grid.Grid {
+	g := grid.New(rows, cols, k.DSize())
 	cpuexec.RunSerial(k, g)
 	return g
 }
@@ -724,14 +696,8 @@ func CPUOnlyParams(ct int) plan.Params {
 	return plan.Params{CPUTile: ct, Band: -1, GPUTile: 1, Halo: -1}
 }
 
-// GPUOnlyParams returns the configuration that offloads every diagonal of
-// a square dim-sized instance to a single GPU.
-func GPUOnlyParams(dim int) plan.Params {
-	return plan.Params{CPUTile: 1, Band: dim - 1, GPUTile: 1, Halo: -1}
-}
-
-// GPUOnlyParamsFor returns the full single-GPU offload configuration for
-// an instance of any shape.
-func GPUOnlyParamsFor(inst plan.Instance) plan.Params {
+// GPUOnlyParams returns the configuration that offloads every diagonal
+// of inst to a single GPU, for an instance of any shape.
+func GPUOnlyParams(inst plan.Instance) plan.Params {
 	return plan.Params{CPUTile: 1, Band: inst.MaxUsefulBand(), GPUTile: 1, Halo: -1}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/hw"
@@ -63,7 +64,7 @@ func TestMaskedEstimateAgreesWithSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("estimate %v: %v", par, err)
 		}
-		sim, g, err := SimulateInst(sys, inst, k, par, Options{})
+		sim, g, err := Simulate(sys, inst, k, par, Options{})
 		if err != nil {
 			t.Fatalf("simulate %v: %v", par, err)
 		}
@@ -73,7 +74,7 @@ func TestMaskedEstimateAgreesWithSimulate(t *testing.T) {
 		if est.FrontierSteps != sim.FrontierSteps {
 			t.Errorf("%v: frontier steps differ: %d vs %d", par, est.FrontierSteps, sim.FrontierSteps)
 		}
-		if !g.Equal(Reference(n, k)) {
+		if !g.Equal(Reference(n, n, k)) {
 			t.Errorf("%v: masked simulation differs from serial reference", par)
 		}
 	}
@@ -92,14 +93,14 @@ func TestFrontierStepsAccounting(t *testing.T) {
 	if res.FrontierSteps != inst.NumDiags() {
 		t.Errorf("FrontierSteps = %d, want %d", res.FrontierSteps, inst.NumDiags())
 	}
-	ns, steps, err := MeasureStepsNs(sys, inst, false, CPUOnlyParams(8))
+	ns, steps, err := Measure(context.Background(), sys, inst, false, CPUOnlyParams(8))
 	if err != nil || ns <= 0 {
-		t.Fatalf("MeasureStepsNs: ns=%v err=%v", ns, err)
+		t.Fatalf("Measure: ns=%v err=%v", ns, err)
 	}
 	if steps != inst.NumDiags() {
 		t.Errorf("measured steps = %d, want %d", steps, inst.NumDiags())
 	}
-	_, steps, err = MeasureStepsNs(sys, inst, true, plan.Params{})
+	_, steps, err = Measure(context.Background(), sys, inst, true, plan.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

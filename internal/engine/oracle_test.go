@@ -42,7 +42,7 @@ func oracleCPUTileDiags(rows, cols, ct, lo, hi int) []oracleTileDiag {
 		if cHi > hi {
 			cHi = hi
 		}
-		cells := grid.CellsInDiagRangeRect(rows, cols, cLo, cHi)
+		cells := grid.CellsInDiagRange(rows, cols, cLo, cHi)
 		if cells == 0 {
 			continue
 		}
@@ -101,7 +101,7 @@ func oracleGPUSchedule(pl *plan.Plan, wantGPUs int) *oracleSchedule {
 	elem := inst.ElemBytes()
 	sch := &oracleSchedule{nGPU: nGPU, xferIn: make([]int, nGPU), xferOut: make([]int, nGPU)}
 
-	inBytes := (grid.DiagLenRect(rows, cols, pl.GLo-1) + grid.DiagLenRect(rows, cols, pl.GLo-2)) * elem
+	inBytes := (grid.DiagLen(rows, cols, pl.GLo-1) + grid.DiagLen(rows, cols, pl.GLo-2)) * elem
 	for dev := 0; dev < nGPU; dev++ {
 		sch.xferIn[dev] = inBytes / nGPU
 	}
@@ -136,8 +136,8 @@ func oracleGPUSchedule(pl *plan.Plan, wantGPUs int) *oracleSchedule {
 		}
 		p := oraclePeriod{launches: make([][]oracleLaunch, nGPU)}
 		p.swapAfter = nGPU >= 2 && ds+m <= pl.GHi
-		a0 := grid.DiagStartRowRect(rows, cols, ds)
-		l0 := grid.DiagLenRect(rows, cols, ds)
+		a0 := grid.DiagStartRow(rows, cols, ds)
+		l0 := grid.DiagLen(rows, cols, ds)
 		bounds := make([]int, nGPU+1)
 		for j := 0; j <= nGPU; j++ {
 			bounds[j] = a0 + j*l0/nGPU
@@ -177,8 +177,8 @@ func oracleGPUSchedule(pl *plan.Plan, wantGPUs int) *oracleSchedule {
 }
 
 func oracleDevRows(rows, cols, d, dev, nGPU int, bounds []int, ov int) (lo, hi int) {
-	a := grid.DiagStartRowRect(rows, cols, d)
-	b := a + grid.DiagLenRect(rows, cols, d) - 1
+	a := grid.DiagStartRow(rows, cols, d)
+	b := a + grid.DiagLen(rows, cols, d) - 1
 	if nGPU == 1 {
 		return a, b
 	}

@@ -19,7 +19,7 @@ func TestEstimateAllocsConstant(t *testing.T) {
 		inst := plan.Instance{Dim: side, TSize: 2000, DSize: 1}
 		pars := []plan.Params{
 			CPUOnlyParams(8),
-			GPUOnlyParams(side),
+			GPUOnlyParams(inst),
 			{CPUTile: 1, Band: side - 1, GPUTile: 1, Halo: 0},
 		}
 		if side == 1900 {
@@ -54,7 +54,7 @@ func TestCPUTileDiagsConserveCells(t *testing.T) {
 	f := func(rawDim, rawCt, rawLo, rawHi uint8) bool {
 		dim := int(rawDim)%150 + 1
 		ct := int(rawCt)%dim + 1
-		nd := grid.NumDiags(dim)
+		nd := grid.NumDiags(dim, dim)
 		lo := int(rawLo) % nd
 		hi := int(rawHi) % nd
 		if hi < lo {
@@ -67,7 +67,7 @@ func TestCPUTileDiagsConserveCells(t *testing.T) {
 			}
 			sum += cells
 		}
-		return sum == grid.CellsInDiagRange(dim, lo, hi)
+		return sum == grid.CellsInDiagRange(dim, dim, lo, hi)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -83,14 +83,14 @@ func TestCPUTileDiagsEmptyRegion(t *testing.T) {
 func TestCPUTileDiagsUntiled(t *testing.T) {
 	// ct=1: one tile-diagonal per cell-diagonal, NTiles = diagonal length.
 	dim := 10
-	nTiles, cells := collectTileDiags(dim, dim, 1, 0, grid.NumDiags(dim)-1)
-	if len(nTiles) != grid.NumDiags(dim) {
-		t.Fatalf("got %d tile-diagonals, want %d", len(nTiles), grid.NumDiags(dim))
+	nTiles, cells := collectTileDiags(dim, dim, 1, 0, grid.NumDiags(dim, dim)-1)
+	if len(nTiles) != grid.NumDiags(dim, dim) {
+		t.Fatalf("got %d tile-diagonals, want %d", len(nTiles), grid.NumDiags(dim, dim))
 	}
 	for i := range nTiles {
-		if nTiles[i] != grid.DiagLen(dim, i) || cells[i] != grid.DiagLen(dim, i) {
+		if nTiles[i] != grid.DiagLen(dim, dim, i) || cells[i] != grid.DiagLen(dim, dim, i) {
 			t.Fatalf("tile-diag %d = %d tiles, %d cells, want both %d",
-				i, nTiles[i], cells[i], grid.DiagLen(dim, i))
+				i, nTiles[i], cells[i], grid.DiagLen(dim, dim, i))
 		}
 	}
 }

@@ -125,9 +125,9 @@ func (c *Context) Tuner(sys hw.System) (*core.Tuner, error) {
 func Fig1(dim int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 1: wavefront parallelism profile, dim=%d\n", dim)
-	for d := 0; d < grid.NumDiags(dim); d++ {
+	for d := 0; d < grid.NumDiags(dim, dim); d++ {
 		fmt.Fprintf(&b, "iter %2d: %s (%d)\n", d,
-			strings.Repeat("*", grid.DiagLen(dim, d)), grid.DiagLen(dim, d))
+			strings.Repeat("*", grid.DiagLen(dim, dim, d)), grid.DiagLen(dim, dim, d))
 	}
 	return b.String()
 }
@@ -182,12 +182,12 @@ func Fig3() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 3: partitioning of %d diagonals among two GPUs, halo=%d\n",
 		pl.GPUDiags(), par.Halo)
-	a0 := grid.DiagStartRow(inst.Dim, pl.GLo)
-	bRow := a0 + grid.DiagLen(inst.Dim, pl.GLo)/2
+	a0 := grid.DiagStartRow(inst.Dim, inst.Dim, pl.GLo)
+	bRow := a0 + grid.DiagLen(inst.Dim, inst.Dim, pl.GLo)/2
 	for i, d := 0, pl.GLo; d <= pl.GHi; i, d = i+1, d+1 {
-		l := grid.DiagLen(inst.Dim, d)
+		l := grid.DiagLen(inst.Dim, inst.Dim, d)
 		ov := pl.SwapPeriod() - 1 - i%pl.SwapPeriod()
-		start := grid.DiagStartRow(inst.Dim, d)
+		start := grid.DiagStartRow(inst.Dim, inst.Dim, d)
 		fmt.Fprintf(&b, "diag %3d: ", d)
 		for r := start; r < start+l; r++ {
 			inDev0 := r < bRow
@@ -369,7 +369,7 @@ func (c *Context) Fig6() ([]Fig6Row, error) {
 					cpuBest = sp
 				}
 			}
-			gpuRes, err := engine.Estimate(sys, ir.Inst, engine.GPUOnlyParams(ir.Inst.Dim), engine.Options{})
+			gpuRes, err := engine.Estimate(sys, ir.Inst, engine.GPUOnlyParams(ir.Inst), engine.Options{})
 			if err != nil {
 				return nil, err
 			}

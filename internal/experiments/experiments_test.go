@@ -5,8 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/hw"
-	"repro/internal/plan"
 )
 
 // sharedCtx caches the Quick-config searches across all tests in this
@@ -178,6 +179,44 @@ func TestFig6BaselineShapes(t *testing.T) {
 	}
 }
 
+// TestBaselineGPUOnlyHelper pins Figure 6's GPU-only baseline: on a
+// rectangular instance (Dim == 0) it must be the full single-GPU offload
+// of engine.GPUOnlyParams, not an all-CPU plan.
+func TestBaselineGPUOnlyHelper(t *testing.T) {
+	sys := hw.I7_2600K()
+	c := NewContext(Config{
+		Space: core.Space{
+			Rects:     [][2]int{{300, 700}},
+			TSizes:    []float64{1000},
+			DSizes:    []int{1},
+			CPUTiles:  []int{8},
+			BandFracs: []float64{-1, 1.0},
+			HaloFracs: []float64{-1},
+			GPUTiles:  []int{1},
+		},
+		Systems: []hw.System{sys},
+	})
+	rows, err := c.Fig6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := c.Search(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || len(sr.Instances) != 1 {
+		t.Fatalf("want 1 row over 1 instance, got %d rows over %d", len(rows), len(sr.Instances))
+	}
+	ir := sr.Instances[0]
+	gpu, err := engine.Estimate(sys, ir.Inst, engine.GPUOnlyParams(ir.Inst), engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ir.SerialNs / gpu.RTimeNs; rows[0].GPUOnly != want || want <= 0 {
+		t.Errorf("rect GPU-only speedup = %v, want serial/GPU-only estimate %v", rows[0].GPUOnly, want)
+	}
+}
+
 func TestFig7AverageGap(t *testing.T) {
 	c := ctx(t)
 	rows, err := c.Fig7(hw.I7_2600K(), 1)
@@ -311,15 +350,5 @@ func TestHeadlineNumbers(t *testing.T) {
 	}
 	if s := h.Render(); !strings.Contains(s, "paper") {
 		t.Error("headline render incomplete")
-	}
-}
-
-func TestBaselineGPUOnlyHelper(t *testing.T) {
-	ns, err := baselineGPUOnly(hw.I3_540(), plan.Instance{Dim: 500, TSize: 100, DSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns <= 0 {
-		t.Error("GPU-only baseline must be positive")
 	}
 }

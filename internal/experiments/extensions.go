@@ -4,6 +4,7 @@ package experiments
 // future work: scaling past two GPUs and tuning at runtime.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -95,7 +96,7 @@ func (c *Context) ExtOnline(sys hw.System) ([]OnlineRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, st, err := online.Refine(inst)
+		_, st, err := online.Refine(context.Background(), inst, offPred, 0)
 		if err != nil {
 			return nil, err
 		}

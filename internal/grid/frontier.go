@@ -13,7 +13,7 @@ import "fmt"
 // Two families are provided:
 //
 //   - DiagFrontier: the dense special case. Steps are the closed-form
-//     anti-diagonals (NumDiagsRect/DiagLenRect/DiagCellRect), so it costs
+//     anti-diagonals (NumDiags/DiagLen/DiagCell), so it costs
 //     nothing to construct and its step count is known a priori. This is
 //     the frontier every regular wavefront workload uses.
 //   - IrregularFrontier: the general case, in the spirit of the irregular
@@ -96,7 +96,7 @@ type DiagFrontier struct {
 // NewDiagFrontier returns the frontier covering every cell of a
 // rows x cols grid in anti-diagonal order.
 func NewDiagFrontier(rows, cols int) *DiagFrontier {
-	return NewDiagRangeFrontier(rows, cols, 0, NumDiagsRect(rows, cols)-1)
+	return NewDiagRangeFrontier(rows, cols, 0, NumDiags(rows, cols)-1)
 }
 
 // NewDiagRangeFrontier returns the dense frontier over anti-diagonals
@@ -108,8 +108,8 @@ func NewDiagRangeFrontier(rows, cols, lo, hi int) *DiagFrontier {
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > NumDiagsRect(rows, cols)-1 {
-		hi = NumDiagsRect(rows, cols) - 1
+	if hi > NumDiags(rows, cols)-1 {
+		hi = NumDiags(rows, cols) - 1
 	}
 	return &DiagFrontier{rows: rows, cols: cols, lo: lo, hi: hi, d: lo}
 }
@@ -124,13 +124,13 @@ func (f *DiagFrontier) Next() ([]Cell, bool) {
 	if f.d > f.hi {
 		return nil, false
 	}
-	n := DiagLenRect(f.rows, f.cols, f.d)
+	n := DiagLen(f.rows, f.cols, f.d)
 	if cap(f.buf) < n {
 		f.buf = make([]Cell, n)
 	}
 	step := f.buf[:n]
 	for i := 0; i < n; i++ {
-		r, c := DiagCellRect(f.rows, f.cols, f.d, i)
+		r, c := DiagCell(f.rows, f.cols, f.d, i)
 		step[i] = Cell{R: r, C: c}
 	}
 	f.d++
@@ -139,7 +139,7 @@ func (f *DiagFrontier) Next() ([]Cell, bool) {
 
 // Cells implements Frontier.
 func (f *DiagFrontier) Cells() int {
-	return CellsInDiagRangeRect(f.rows, f.cols, f.lo, f.hi)
+	return CellsInDiagRange(f.rows, f.cols, f.lo, f.hi)
 }
 
 // Steps implements Frontier: the closed-form diagonal count.
@@ -266,21 +266,4 @@ func CountFrontier(f Frontier) (steps, cells int) {
 		steps++
 		cells += len(step)
 	}
-}
-
-// LiveCellsRect counts the cells of a rows x cols grid for which live
-// returns true (the whole rectangle when live is nil).
-func LiveCellsRect(rows, cols int, live func(r, c int) bool) int {
-	if live == nil {
-		return rows * cols
-	}
-	n := 0
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if live(r, c) {
-				n++
-			}
-		}
-	}
-	return n
 }

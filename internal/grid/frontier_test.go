@@ -8,8 +8,8 @@ func TestDiagFrontierMatchesClosedForm(t *testing.T) {
 	for _, shape := range [][2]int{{1, 1}, {4, 6}, {6, 4}, {7, 7}, {1, 9}, {9, 1}} {
 		rows, cols := shape[0], shape[1]
 		f := NewDiagFrontier(rows, cols)
-		if f.Steps() != NumDiagsRect(rows, cols) {
-			t.Errorf("%dx%d: Steps = %d, want %d", rows, cols, f.Steps(), NumDiagsRect(rows, cols))
+		if f.Steps() != NumDiags(rows, cols) {
+			t.Errorf("%dx%d: Steps = %d, want %d", rows, cols, f.Steps(), NumDiags(rows, cols))
 		}
 		if f.Cells() != rows*cols {
 			t.Errorf("%dx%d: Cells = %d, want %d", rows, cols, f.Cells(), rows*cols)
@@ -20,19 +20,19 @@ func TestDiagFrontierMatchesClosedForm(t *testing.T) {
 			if !ok {
 				break
 			}
-			if len(step) != DiagLenRect(rows, cols, d) {
-				t.Fatalf("%dx%d diag %d: len %d, want %d", rows, cols, d, len(step), DiagLenRect(rows, cols, d))
+			if len(step) != DiagLen(rows, cols, d) {
+				t.Fatalf("%dx%d diag %d: len %d, want %d", rows, cols, d, len(step), DiagLen(rows, cols, d))
 			}
 			for i, c := range step {
-				wr, wc := DiagCellRect(rows, cols, d, i)
+				wr, wc := DiagCell(rows, cols, d, i)
 				if c.R != wr || c.C != wc {
 					t.Fatalf("%dx%d diag %d cell %d: got (%d,%d), want (%d,%d)", rows, cols, d, i, c.R, c.C, wr, wc)
 				}
 			}
 			d++
 		}
-		if d != NumDiagsRect(rows, cols) {
-			t.Errorf("%dx%d: delivered %d steps, want %d", rows, cols, d, NumDiagsRect(rows, cols))
+		if d != NumDiags(rows, cols) {
+			t.Errorf("%dx%d: delivered %d steps, want %d", rows, cols, d, NumDiags(rows, cols))
 		}
 	}
 }
@@ -71,8 +71,8 @@ func TestIrregularDenseEquivalence(t *testing.T) {
 		if !ok {
 			break
 		}
-		if len(step) != DiagLenRect(rows, cols, d) {
-			t.Fatalf("level %d has %d cells, want %d", d, len(step), DiagLenRect(rows, cols, d))
+		if len(step) != DiagLen(rows, cols, d) {
+			t.Fatalf("level %d has %d cells, want %d", d, len(step), DiagLen(rows, cols, d))
 		}
 		for _, c := range step {
 			if c.R+c.C != d {
@@ -81,8 +81,8 @@ func TestIrregularDenseEquivalence(t *testing.T) {
 		}
 		d++
 	}
-	if d != NumDiagsRect(rows, cols) {
-		t.Errorf("levels = %d, want %d", d, NumDiagsRect(rows, cols))
+	if d != NumDiags(rows, cols) {
+		t.Errorf("levels = %d, want %d", d, NumDiags(rows, cols))
 	}
 }
 
@@ -165,15 +165,5 @@ func TestStencilCausal(t *testing.T) {
 	}
 	if !(Stencil{{-1, 2}, {0, -3}}).Causal() {
 		t.Error("long causal offsets must be causal")
-	}
-}
-
-// TestLiveCellsRect pins the counting helper.
-func TestLiveCellsRect(t *testing.T) {
-	if n := LiveCellsRect(4, 5, nil); n != 20 {
-		t.Errorf("nil live = %d, want 20", n)
-	}
-	if n := LiveCellsRect(4, 5, func(r, c int) bool { return (r+c)%2 == 0 }); n != 10 {
-		t.Errorf("checkerboard = %d, want 10", n)
 	}
 }

@@ -11,12 +11,12 @@
 // while cells within one diagonal are independent — the data parallelism
 // the paper exploits on GPUs.
 //
-// The paper's experiments use square dim x dim arrays, and the square API
-// (New, NumDiags, DiagLen, ...) remains the convenient spelling for them.
-// Rectangular grids — e.g. aligning two sequences of unequal length — use
-// NewRect and the *Rect helpers; a rows x cols grid has rows+cols-1
-// anti-diagonals whose lengths rise 1,2,...,min(rows,cols), plateau, and
-// fall back to 1 (a clipped version of the square triangular profile).
+// Every helper takes the shape as rows, cols: the paper's square dim x dim
+// arrays are the rows == cols case, and rectangular grids — e.g.
+// aligning two sequences of unequal length — use the same calls. A
+// rows x cols grid has rows+cols-1 anti-diagonals whose lengths rise
+// 1,2,...,min(rows,cols), plateau, and fall back to 1 (a clipped version
+// of the square triangular profile).
 package grid
 
 import "fmt"
@@ -24,8 +24,7 @@ import "fmt"
 // Grid is a rectangular wavefront array with structure-of-arrays storage:
 // two int64 variables and DSize float64 values per cell, matching the
 // paper's synthetic element of "two int variables and a varying number of
-// floats". Storage is row-major; diagonal-major views are provided for
-// GPU-style access.
+// floats". Storage is row-major.
 type Grid struct {
 	rows  int
 	cols  int
@@ -37,15 +36,10 @@ type Grid struct {
 	Floats []float64
 }
 
-// New allocates a square dim x dim grid whose cells carry dsize floats
-// each. It panics if dim <= 0 or dsize < 0, as these are programming
-// errors.
-func New(dim, dsize int) *Grid { return NewRect(dim, dim, dsize) }
-
-// NewRect allocates a rows x cols grid whose cells carry dsize floats
-// each. It panics if rows <= 0, cols <= 0 or dsize < 0, as these are
+// New allocates a rows x cols grid whose cells carry dsize floats each.
+// It panics if rows <= 0, cols <= 0 or dsize < 0, as these are
 // programming errors.
-func NewRect(rows, cols, dsize int) *Grid {
+func New(rows, cols, dsize int) *Grid {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("grid: shape must be positive, got %dx%d", rows, cols))
 	}
@@ -66,10 +60,6 @@ func NewRect(rows, cols, dsize int) *Grid {
 	return g
 }
 
-// Dim returns the side length of a square grid (its row count). It is the
-// square-grid shorthand; rectangular callers use Rows and Cols.
-func (g *Grid) Dim() int { return g.rows }
-
 // Rows returns the number of rows of the grid.
 func (g *Grid) Rows() int { return g.rows }
 
@@ -86,7 +76,7 @@ func (g *Grid) DSize() int { return g.dsize }
 func (g *Grid) Cells() int { return g.rows * g.cols }
 
 // NumDiags returns the number of anti-diagonals of the grid.
-func (g *Grid) NumDiags() int { return NumDiagsRect(g.rows, g.cols) }
+func (g *Grid) NumDiags() int { return NumDiags(g.rows, g.cols) }
 
 // Index returns the row-major index of cell (r, c).
 func (g *Grid) Index(r, c int) int { return r*g.cols + c }
@@ -126,24 +116,17 @@ func ElemBytes(dsize int) int { return 8 + 8*dsize }
 // ElemBytes returns the modeled per-cell size of this grid.
 func (g *Grid) ElemBytes() int { return ElemBytes(g.dsize) }
 
-// NumDiags returns the number of anti-diagonals of a dim x dim grid.
-func NumDiags(dim int) int { return NumDiagsRect(dim, dim) }
-
-// NumDiagsRect returns the number of anti-diagonals of a rows x cols grid,
+// NumDiags returns the number of anti-diagonals of a rows x cols grid,
 // rows+cols-1.
-func NumDiagsRect(rows, cols int) int { return rows + cols - 1 }
+func NumDiags(rows, cols int) int { return rows + cols - 1 }
 
-// DiagLen returns the number of cells on anti-diagonal d of a dim x dim
-// grid. Lengths rise 1,2,...,dim at d = dim-1 and fall back to 1, the
-// triangular parallelism profile of the paper's Figure 1(b).
-func DiagLen(dim, d int) int { return DiagLenRect(dim, dim, d) }
-
-// DiagLenRect returns the number of cells on anti-diagonal d of a
-// rows x cols grid: the diagonal is clipped to the rectangle, so lengths
-// rise 1,2,...,min(rows,cols), stay there across the plateau, and fall
-// back to 1 (the trapezoidal parallelism profile of a rectangular
-// wavefront).
-func DiagLenRect(rows, cols, d int) int {
+// DiagLen returns the number of cells on anti-diagonal d of a rows x cols
+// grid: the diagonal is clipped to the rectangle, so lengths rise
+// 1,2,...,min(rows,cols), stay there across the plateau, and fall back to
+// 1 (the trapezoidal parallelism profile of a rectangular wavefront; a
+// square grid has no plateau, the triangular profile of the paper's
+// Figure 1(b)).
+func DiagLen(rows, cols, d int) int {
 	if d < 0 || d > rows+cols-2 {
 		return 0
 	}
@@ -159,47 +142,35 @@ func DiagLenRect(rows, cols, d int) int {
 }
 
 // DiagStartRow returns the row of the first cell (smallest row index) on
-// anti-diagonal d of a dim x dim grid. Cells on diagonal d are (r, d-r)
+// anti-diagonal d of a rows x cols grid. Cells on diagonal d are (r, d-r)
 // for r in [DiagStartRow, DiagStartRow+DiagLen).
-func DiagStartRow(dim, d int) int { return DiagStartRowRect(dim, dim, d) }
-
-// DiagStartRowRect returns the row of the first cell on anti-diagonal d of
-// a rows x cols grid.
-func DiagStartRowRect(rows, cols, d int) int {
+func DiagStartRow(rows, cols, d int) int {
 	if d < cols {
 		return 0
 	}
 	return d - cols + 1
 }
 
-// DiagCell returns the i-th cell (r, c) of anti-diagonal d of a dim x dim
-// grid, ordered by increasing row.
-func DiagCell(dim, d, i int) (r, c int) { return DiagCellRect(dim, dim, d, i) }
-
-// DiagCellRect returns the i-th cell (r, c) of anti-diagonal d of a
+// DiagCell returns the i-th cell (r, c) of anti-diagonal d of a
 // rows x cols grid, ordered by increasing row.
-func DiagCellRect(rows, cols, d, i int) (r, c int) {
-	r = DiagStartRowRect(rows, cols, d) + i
+func DiagCell(rows, cols, d, i int) (r, c int) {
+	r = DiagStartRow(rows, cols, d) + i
 	return r, d - r
 }
 
 // DiagOf returns the anti-diagonal index of cell (r, c).
 func DiagOf(r, c int) int { return r + c }
 
-// CellsUpToDiag returns the number of cells of a dim x dim grid on
-// diagonals [0, d], i.e. the size of the leading region computed before
-// diagonal d+1 starts.
-func CellsUpToDiag(dim, d int) int { return CellsUpToDiagRect(dim, dim, d) }
-
-// CellsUpToDiagRect returns the number of cells of a rows x cols grid on
-// diagonals [0, d], in closed form: a leading triangle while lengths rise,
-// a linear plateau of width min(rows,cols), and the total minus the
+// CellsUpToDiag returns the number of cells of a rows x cols grid on
+// diagonals [0, d] — the size of the leading region computed before
+// diagonal d+1 starts — in closed form: a leading triangle while lengths
+// rise, a linear plateau of width min(rows,cols), and the total minus the
 // trailing triangle once lengths fall.
-func CellsUpToDiagRect(rows, cols, d int) int {
+func CellsUpToDiag(rows, cols, d int) int {
 	if d < 0 {
 		return 0
 	}
-	last := NumDiagsRect(rows, cols) - 1
+	last := NumDiags(rows, cols) - 1
 	if d >= last {
 		return rows * cols
 	}
@@ -220,71 +191,14 @@ func CellsUpToDiagRect(rows, cols, d int) int {
 	return m*(m+1)/2 + (d-m+1)*m
 }
 
-// CellsInDiagRange returns the number of cells of a dim x dim grid on
+// CellsInDiagRange returns the number of cells of a rows x cols grid on
 // diagonals [lo, hi].
-func CellsInDiagRange(dim, lo, hi int) int {
-	return CellsInDiagRangeRect(dim, dim, lo, hi)
-}
-
-// CellsInDiagRangeRect returns the number of cells of a rows x cols grid
-// on diagonals [lo, hi].
-func CellsInDiagRangeRect(rows, cols, lo, hi int) int {
+func CellsInDiagRange(rows, cols, lo, hi int) int {
 	if hi < lo {
 		return 0
 	}
-	return CellsUpToDiagRect(rows, cols, hi) - CellsUpToDiagRect(rows, cols, lo-1)
+	return CellsUpToDiag(rows, cols, hi) - CellsUpToDiag(rows, cols, lo-1)
 }
-
-// DiagView is a diagonal-major addressing scheme for a contiguous range of
-// anti-diagonals, as used when staging a band of diagonals in GPU memory.
-// Diagonals are laid out back to back, each ordered by increasing row.
-type DiagView struct {
-	Rows, Cols int
-	Lo, Hi     int   // inclusive diagonal range
-	offsets    []int // offsets[i] = cells before diagonal Lo+i
-	total      int
-}
-
-// NewDiagView builds the diagonal-major layout for diagonals [lo, hi] of a
-// square dim-sized grid. It panics on an invalid range: layout
-// construction with impossible bounds indicates a planner bug, not a
-// runtime condition.
-func NewDiagView(dim, lo, hi int) *DiagView { return NewDiagViewRect(dim, dim, lo, hi) }
-
-// NewDiagViewRect builds the diagonal-major layout for diagonals [lo, hi]
-// of a rows x cols grid. It panics on an invalid range.
-func NewDiagViewRect(rows, cols, lo, hi int) *DiagView {
-	if lo < 0 || hi >= NumDiagsRect(rows, cols) || hi < lo {
-		panic(fmt.Sprintf("grid: invalid diagonal range [%d,%d] for shape %dx%d",
-			lo, hi, rows, cols))
-	}
-	v := &DiagView{Rows: rows, Cols: cols, Lo: lo, Hi: hi}
-	v.offsets = make([]int, hi-lo+2)
-	sum := 0
-	for d := lo; d <= hi; d++ {
-		v.offsets[d-lo] = sum
-		sum += DiagLenRect(rows, cols, d)
-	}
-	v.offsets[hi-lo+1] = sum
-	v.total = sum
-	return v
-}
-
-// Total returns the number of cells covered by the view.
-func (v *DiagView) Total() int { return v.total }
-
-// Offset returns the linear offset of the i-th cell of diagonal d within
-// the view's packed layout.
-func (v *DiagView) Offset(d, i int) int {
-	return v.offsets[d-v.Lo] + i
-}
-
-// DiagOffset returns the linear offset at which diagonal d starts.
-func (v *DiagView) DiagOffset(d int) int { return v.offsets[d-v.Lo] }
-
-// Bytes returns the modeled byte size of the packed view for elements of
-// the given dsize.
-func (v *DiagView) Bytes(dsize int) int { return v.total * ElemBytes(dsize) }
 
 // Clone returns a deep copy of the grid, used to compare executor outputs
 // against the serial reference.

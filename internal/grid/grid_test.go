@@ -10,18 +10,18 @@ func TestDiagLenSmall(t *testing.T) {
 	// the 4x4 profile explicitly: 1,2,3,4,3,2,1.
 	want := []int{1, 2, 3, 4, 3, 2, 1}
 	for d, w := range want {
-		if got := DiagLen(4, d); got != w {
-			t.Errorf("DiagLen(4,%d) = %d, want %d", d, got, w)
+		if got := DiagLen(4, 4, d); got != w {
+			t.Errorf("DiagLen(4,4,%d) = %d, want %d", d, got, w)
 		}
 	}
-	if DiagLen(4, -1) != 0 || DiagLen(4, 7) != 0 {
+	if DiagLen(4, 4, -1) != 0 || DiagLen(4, 4, 7) != 0 {
 		t.Error("out-of-range diagonals must have length 0")
 	}
 }
 
 func TestNumDiags(t *testing.T) {
 	for _, tc := range []struct{ dim, want int }{{1, 1}, {2, 3}, {4, 7}, {500, 999}} {
-		if got := NumDiags(tc.dim); got != tc.want {
+		if got := NumDiags(tc.dim, tc.dim); got != tc.want {
 			t.Errorf("NumDiags(%d) = %d, want %d", tc.dim, got, tc.want)
 		}
 	}
@@ -32,8 +32,8 @@ func TestDiagLensSumToCells(t *testing.T) {
 	f := func(raw uint8) bool {
 		dim := int(raw)%100 + 1
 		sum := 0
-		for d := 0; d < NumDiags(dim); d++ {
-			sum += DiagLen(dim, d)
+		for d := 0; d < NumDiags(dim, dim); d++ {
+			sum += DiagLen(dim, dim, d)
 		}
 		return sum == dim*dim
 	}
@@ -47,10 +47,10 @@ func TestDiagCellRoundTrip(t *testing.T) {
 	// in bounds.
 	f := func(rawDim, rawD uint8) bool {
 		dim := int(rawDim)%60 + 1
-		d := int(rawD) % NumDiags(dim)
-		g := New(dim, 0)
-		for i := 0; i < DiagLen(dim, d); i++ {
-			r, c := DiagCell(dim, d, i)
+		d := int(rawD) % NumDiags(dim, dim)
+		g := New(dim, dim, 0)
+		for i := 0; i < DiagLen(dim, dim, d); i++ {
+			r, c := DiagCell(dim, dim, d, i)
 			if !g.InBounds(r, c) || DiagOf(r, c) != d {
 				return false
 			}
@@ -66,9 +66,9 @@ func TestDiagCellsDistinct(t *testing.T) {
 	// Every cell must appear on exactly one diagonal at exactly one index.
 	dim := 23
 	seen := make(map[int]bool)
-	for d := 0; d < NumDiags(dim); d++ {
-		for i := 0; i < DiagLen(dim, d); i++ {
-			r, c := DiagCell(dim, d, i)
+	for d := 0; d < NumDiags(dim, dim); d++ {
+		for i := 0; i < DiagLen(dim, dim, d); i++ {
+			r, c := DiagCell(dim, dim, d, i)
 			idx := r*dim + c
 			if seen[idx] {
 				t.Fatalf("cell (%d,%d) visited twice", r, c)
@@ -85,16 +85,16 @@ func TestCellsUpToDiag(t *testing.T) {
 	// Cross-check the closed form against direct summation.
 	for _, dim := range []int{1, 2, 3, 7, 19, 64} {
 		sum := 0
-		for d := 0; d < NumDiags(dim); d++ {
-			sum += DiagLen(dim, d)
-			if got := CellsUpToDiag(dim, d); got != sum {
+		for d := 0; d < NumDiags(dim, dim); d++ {
+			sum += DiagLen(dim, dim, d)
+			if got := CellsUpToDiag(dim, dim, d); got != sum {
 				t.Fatalf("CellsUpToDiag(%d,%d) = %d, want %d", dim, d, got, sum)
 			}
 		}
-		if CellsUpToDiag(dim, -1) != 0 {
+		if CellsUpToDiag(dim, dim, -1) != 0 {
 			t.Fatalf("CellsUpToDiag(%d,-1) != 0", dim)
 		}
-		if CellsUpToDiag(dim, NumDiags(dim)+5) != dim*dim {
+		if CellsUpToDiag(dim, dim, NumDiags(dim, dim)+5) != dim*dim {
 			t.Fatalf("CellsUpToDiag past end must be dim²")
 		}
 	}
@@ -102,14 +102,14 @@ func TestCellsUpToDiag(t *testing.T) {
 
 func TestCellsInDiagRange(t *testing.T) {
 	dim := 10
-	if got := CellsInDiagRange(dim, 0, NumDiags(dim)-1); got != 100 {
+	if got := CellsInDiagRange(dim, dim, 0, NumDiags(dim, dim)-1); got != 100 {
 		t.Errorf("full range = %d, want 100", got)
 	}
-	if got := CellsInDiagRange(dim, 5, 4); got != 0 {
+	if got := CellsInDiagRange(dim, dim, 5, 4); got != 0 {
 		t.Errorf("empty range = %d, want 0", got)
 	}
-	if got := CellsInDiagRange(dim, 9, 9); got != DiagLen(dim, 9) {
-		t.Errorf("main diagonal = %d, want %d", got, DiagLen(dim, 9))
+	if got := CellsInDiagRange(dim, dim, 9, 9); got != DiagLen(dim, dim, 9) {
+		t.Errorf("main diagonal = %d, want %d", got, DiagLen(dim, dim, 9))
 	}
 }
 
@@ -127,7 +127,7 @@ func TestElemBytes(t *testing.T) {
 }
 
 func TestGridAccessors(t *testing.T) {
-	g := New(5, 3)
+	g := New(5, 5, 3)
 	g.SetA(2, 3, 42)
 	g.SetB(2, 3, -7)
 	g.SetFloat(2, 3, 1, 3.5)
@@ -137,51 +137,13 @@ func TestGridAccessors(t *testing.T) {
 	if g.A(3, 2) != 0 {
 		t.Error("unrelated cell modified")
 	}
-	if g.Dim() != 5 || g.DSize() != 3 || g.Cells() != 25 || g.ElemBytes() != 32 {
+	if g.Rows() != 5 || g.Cols() != 5 || g.DSize() != 3 || g.Cells() != 25 || g.ElemBytes() != 32 {
 		t.Error("shape accessors wrong")
 	}
 }
 
-func TestDiagViewOffsets(t *testing.T) {
-	dim := 8
-	v := NewDiagView(dim, 3, 10)
-	// Offsets must be contiguous and total must equal the range cell count.
-	want := CellsInDiagRange(dim, 3, 10)
-	if v.Total() != want {
-		t.Fatalf("Total = %d, want %d", v.Total(), want)
-	}
-	seen := make(map[int]bool)
-	for d := 3; d <= 10; d++ {
-		for i := 0; i < DiagLen(dim, d); i++ {
-			off := v.Offset(d, i)
-			if off < 0 || off >= v.Total() {
-				t.Fatalf("offset %d out of range", off)
-			}
-			if seen[off] {
-				t.Fatalf("offset %d reused", off)
-			}
-			seen[off] = true
-		}
-	}
-	if len(seen) != want {
-		t.Fatalf("covered %d offsets, want %d", len(seen), want)
-	}
-	if v.Bytes(1) != want*16 {
-		t.Errorf("Bytes(1) = %d, want %d", v.Bytes(1), want*16)
-	}
-}
-
-func TestDiagViewPanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for invalid range")
-		}
-	}()
-	NewDiagView(4, 5, 2)
-}
-
 func TestCloneEqual(t *testing.T) {
-	g := New(6, 2)
+	g := New(6, 6, 2)
 	g.SetA(1, 1, 9)
 	g.SetFloat(5, 5, 1, 2.25)
 	c := g.Clone()
@@ -192,20 +154,20 @@ func TestCloneEqual(t *testing.T) {
 	if g.Equal(c) {
 		t.Fatal("mutating clone must not affect original equality")
 	}
-	if g.Equal(New(6, 1)) || g.Equal(New(7, 2)) {
+	if g.Equal(New(6, 6, 1)) || g.Equal(New(7, 7, 2)) {
 		t.Fatal("different shapes must not be equal")
 	}
 }
 
 func TestNewPanics(t *testing.T) {
-	for _, tc := range []struct{ dim, dsize int }{{0, 1}, {-3, 0}, {4, -1}} {
+	for _, tc := range []struct{ rows, cols, dsize int }{{0, 0, 1}, {-3, -3, 0}, {4, 4, -1}, {0, 4, 1}, {4, 0, 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(%d,%d) should panic", tc.dim, tc.dsize)
+					t.Errorf("New(%d,%d,%d) should panic", tc.rows, tc.cols, tc.dsize)
 				}
 			}()
-			New(tc.dim, tc.dsize)
+			New(tc.rows, tc.cols, tc.dsize)
 		}()
 	}
 }

@@ -9,15 +9,15 @@ func TestDiagLenRectFigure1(t *testing.T) {
 	// The paper's Figure 1 example is a 4x6 grid: lengths rise to
 	// min(rows,cols)=4, plateau, and fall back to 1.
 	want := []int{1, 2, 3, 4, 4, 4, 3, 2, 1}
-	if got := NumDiagsRect(4, 6); got != len(want) {
-		t.Fatalf("NumDiagsRect(4,6) = %d, want %d", got, len(want))
+	if got := NumDiags(4, 6); got != len(want) {
+		t.Fatalf("NumDiags(4,6) = %d, want %d", got, len(want))
 	}
 	for d, w := range want {
-		if got := DiagLenRect(4, 6, d); got != w {
-			t.Errorf("DiagLenRect(4,6,%d) = %d, want %d", d, got, w)
+		if got := DiagLen(4, 6, d); got != w {
+			t.Errorf("DiagLen(4,6,%d) = %d, want %d", d, got, w)
 		}
 	}
-	if DiagLenRect(4, 6, -1) != 0 || DiagLenRect(4, 6, 9) != 0 {
+	if DiagLen(4, 6, -1) != 0 || DiagLen(4, 6, 9) != 0 {
 		t.Error("out-of-range diagonals must have length 0")
 	}
 }
@@ -29,8 +29,8 @@ func TestRectDiagLensSumToCells(t *testing.T) {
 		rows := int(rawR)%70 + 1
 		cols := int(rawC)%70 + 1
 		sum := 0
-		for d := 0; d < NumDiagsRect(rows, cols); d++ {
-			sum += DiagLenRect(rows, cols, d)
+		for d := 0; d < NumDiags(rows, cols); d++ {
+			sum += DiagLen(rows, cols, d)
 		}
 		return sum == rows*cols
 	}
@@ -45,17 +45,17 @@ func TestCellsUpToDiagRectClosedForm(t *testing.T) {
 	for _, shape := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {3, 8}, {8, 3}, {7, 7}, {19, 64}, {64, 19}} {
 		rows, cols := shape[0], shape[1]
 		sum := 0
-		for d := 0; d < NumDiagsRect(rows, cols); d++ {
-			sum += DiagLenRect(rows, cols, d)
-			if got := CellsUpToDiagRect(rows, cols, d); got != sum {
-				t.Fatalf("CellsUpToDiagRect(%d,%d,%d) = %d, want %d", rows, cols, d, got, sum)
+		for d := 0; d < NumDiags(rows, cols); d++ {
+			sum += DiagLen(rows, cols, d)
+			if got := CellsUpToDiag(rows, cols, d); got != sum {
+				t.Fatalf("CellsUpToDiag(%d,%d,%d) = %d, want %d", rows, cols, d, got, sum)
 			}
 		}
-		if CellsUpToDiagRect(rows, cols, -1) != 0 {
-			t.Fatalf("CellsUpToDiagRect(%d,%d,-1) != 0", rows, cols)
+		if CellsUpToDiag(rows, cols, -1) != 0 {
+			t.Fatalf("CellsUpToDiag(%d,%d,-1) != 0", rows, cols)
 		}
-		if CellsUpToDiagRect(rows, cols, NumDiagsRect(rows, cols)+3) != rows*cols {
-			t.Fatalf("CellsUpToDiagRect past end must be rows*cols")
+		if CellsUpToDiag(rows, cols, NumDiags(rows, cols)+3) != rows*cols {
+			t.Fatalf("CellsUpToDiag past end must be rows*cols")
 		}
 	}
 }
@@ -66,10 +66,10 @@ func TestRectDiagCellRoundTrip(t *testing.T) {
 	f := func(rawR, rawC, rawD uint8) bool {
 		rows := int(rawR)%40 + 1
 		cols := int(rawC)%40 + 1
-		d := int(rawD) % NumDiagsRect(rows, cols)
-		g := NewRect(rows, cols, 0)
-		for i := 0; i < DiagLenRect(rows, cols, d); i++ {
-			r, c := DiagCellRect(rows, cols, d, i)
+		d := int(rawD) % NumDiags(rows, cols)
+		g := New(rows, cols, 0)
+		for i := 0; i < DiagLen(rows, cols, d); i++ {
+			r, c := DiagCell(rows, cols, d, i)
 			if !g.InBounds(r, c) || DiagOf(r, c) != d {
 				return false
 			}
@@ -86,9 +86,9 @@ func TestRectDiagCellsDistinct(t *testing.T) {
 	// exactly one index.
 	rows, cols := 13, 29
 	seen := make(map[int]bool)
-	for d := 0; d < NumDiagsRect(rows, cols); d++ {
-		for i := 0; i < DiagLenRect(rows, cols, d); i++ {
-			r, c := DiagCellRect(rows, cols, d, i)
+	for d := 0; d < NumDiags(rows, cols); d++ {
+		for i := 0; i < DiagLen(rows, cols, d); i++ {
+			r, c := DiagCell(rows, cols, d, i)
 			idx := r*cols + c
 			if seen[idx] {
 				t.Fatalf("cell (%d,%d) visited twice", r, c)
@@ -102,7 +102,7 @@ func TestRectDiagCellsDistinct(t *testing.T) {
 }
 
 func TestNewRectAccessors(t *testing.T) {
-	g := NewRect(3, 7, 2)
+	g := New(3, 7, 2)
 	if g.Rows() != 3 || g.Cols() != 7 || g.Cells() != 21 || g.Square() {
 		t.Error("rect shape accessors wrong")
 	}
@@ -121,46 +121,7 @@ func TestNewRectAccessors(t *testing.T) {
 	if !g.Equal(c) {
 		t.Error("rect clone not equal")
 	}
-	if g.Equal(NewRect(7, 3, 2)) {
+	if g.Equal(New(7, 3, 2)) {
 		t.Error("transposed shapes must not be equal")
-	}
-}
-
-func TestSquareHelpersDelegateToRect(t *testing.T) {
-	// The square spellings are exactly the rows == cols case.
-	for dim := 1; dim <= 12; dim++ {
-		if NumDiags(dim) != NumDiagsRect(dim, dim) {
-			t.Fatalf("NumDiags(%d) mismatch", dim)
-		}
-		for d := -1; d <= NumDiags(dim); d++ {
-			if DiagLen(dim, d) != DiagLenRect(dim, dim, d) {
-				t.Fatalf("DiagLen(%d,%d) mismatch", dim, d)
-			}
-			if CellsUpToDiag(dim, d) != CellsUpToDiagRect(dim, dim, d) {
-				t.Fatalf("CellsUpToDiag(%d,%d) mismatch", dim, d)
-			}
-		}
-	}
-}
-
-func TestRectDiagViewOffsets(t *testing.T) {
-	rows, cols := 6, 11
-	v := NewDiagViewRect(rows, cols, 4, 12)
-	want := CellsInDiagRangeRect(rows, cols, 4, 12)
-	if v.Total() != want {
-		t.Fatalf("Total = %d, want %d", v.Total(), want)
-	}
-	seen := make(map[int]bool)
-	for d := 4; d <= 12; d++ {
-		for i := 0; i < DiagLenRect(rows, cols, d); i++ {
-			off := v.Offset(d, i)
-			if off < 0 || off >= v.Total() || seen[off] {
-				t.Fatalf("bad or reused offset %d", off)
-			}
-			seen[off] = true
-		}
-	}
-	if len(seen) != want {
-		t.Fatalf("covered %d offsets, want %d", len(seen), want)
 	}
 }

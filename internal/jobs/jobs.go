@@ -185,7 +185,7 @@ type Result struct {
 	// SerialNs is the modeled sequential baseline, for speedup reporting.
 	SerialNs float64
 	// Steps is the number of barrier-separated wavefront steps of the
-	// executed schedule (engine.MeasureStepsNs): the diagonal count for
+	// executed schedule (engine.Measure): the diagonal count for
 	// a hybrid run, 1 for the barrier-free serial sweep. Progress
 	// reporting must use it instead of recomputing NumDiags from the
 	// shape, which misstates irregular executions. Zero means unknown.

@@ -574,18 +574,13 @@ func (m *Manager) run(rec *record) {
 	span.End()
 	execDur := time.Since(t0)
 
+	state, errMsg := StateSucceeded, ""
 	var msg string
-	m.mu.Lock()
-	m.running--
-	if m.cfg.Metrics != nil {
-		observe(m.cfg.Metrics.ExecSec, execDur)
-	}
 	switch {
 	case err == nil:
 		// A completed execution wins over a cancellation that raced in
 		// after the work (and its side effects, e.g. the training-log
 		// append) already happened: cancel is best-effort.
-		m.finishLocked(rec, StateSucceeded, res, "")
 		msg = fmt.Sprintf("job %s succeeded: %s measured %.3gs (%s)",
 			rec.id, res.Par, res.MeasuredNs/1e9, res.Cache)
 	case rec.ctx.Err() != nil:
@@ -593,30 +588,39 @@ func (m *Manager) run(rec *record) {
 		// drain, so an error with a done context means the execution was
 		// cut short deliberately. Keep any unrelated failure visible in
 		// the log — it may be persistent and matter beyond this job.
-		m.finishLocked(rec, StateCanceled, nil, "")
+		state, res = StateCanceled, nil
 		if errors.Is(err, context.Canceled) {
 			msg = fmt.Sprintf("job %s canceled while running", rec.id)
 		} else {
 			msg = fmt.Sprintf("job %s canceled while running (execution also returned: %v)", rec.id, err)
 		}
 	default:
-		m.finishLocked(rec, StateFailed, nil, err.Error())
+		state, res, errMsg = StateFailed, nil, err.Error()
 		msg = fmt.Sprintf("job %s failed: %v", rec.id, err)
 	}
-	m.mu.Unlock()
+	// Log before the record turns terminal: finishLocked wakes Await, and
+	// a waiter must find the job's completion lines already written.
 	m.logf("%s", msg)
 	if m.cfg.SlowJob > 0 && execDur >= m.cfg.SlowJob {
 		m.logf("job %s slow (%.3fs >= %.3fs):\n%s",
 			rec.id, execDur.Seconds(), m.cfg.SlowJob.Seconds(), span.Render())
 	}
+
+	m.mu.Lock()
+	m.running--
+	if m.cfg.Metrics != nil {
+		observe(m.cfg.Metrics.ExecSec, execDur)
+	}
+	m.finishLocked(rec, state, res, errMsg)
+	m.mu.Unlock()
 }
 
 // measure runs one modeled engine execution, feeding its duration to
 // the EngineSec histogram (when configured) alongside the engine.measure
-// span MeasureStepsNsCtx attaches to ctx.
+// span engine.Measure attaches to ctx.
 func (m *Manager) measure(ctx context.Context, sys hw.System, inst plan.Instance, serial bool, par plan.Params) (float64, int, error) {
 	t0 := time.Now()
-	ns, steps, err := engine.MeasureStepsNsCtx(ctx, sys, inst, serial, par)
+	ns, steps, err := engine.Measure(ctx, sys, inst, serial, par)
 	if m.cfg.Metrics != nil {
 		observe(m.cfg.Metrics.EngineSec, time.Since(t0))
 	}
@@ -668,7 +672,7 @@ func (m *Manager) execute(ctx context.Context, rec *record) (*Result, error) {
 	// the reported Cache/PredictedNs always describe the configuration
 	// the refinement actually started from.
 	refineCtx, refineSpan := telemetry.StartSpan(ctx, "job.refine")
-	pred, st, err := online.RefineDecisionContext(refineCtx, spec.Inst,
+	pred, st, err := online.Refine(refineCtx, spec.Inst,
 		core.Prediction{Serial: p.Serial, Par: p.Par}, p.SerialNs)
 	refineSpan.End()
 	if err != nil {

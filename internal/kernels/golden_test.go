@@ -61,7 +61,7 @@ func TestSWAffineGolden(t *testing.T) {
 	a := []byte("GATTACACAGGT")
 	b := []byte("GCATGCGATTACTT")
 	k := NewSWAffineWith(a, b)
-	g := grid.NewRect(len(a), len(b), k.DSize())
+	g := grid.New(len(a), len(b), k.DSize())
 	RunAll(k, g)
 
 	h, e, f := refSWAffine(a, b, k.Match, k.Mismatch, k.GapOpen, k.GapExtend)
@@ -89,7 +89,7 @@ func TestSWAffineGolden(t *testing.T) {
 	// len * match with no gaps.
 	same := []byte("ACGTACGT")
 	k2 := NewSWAffineWith(same, same)
-	g2 := grid.NewRect(len(same), len(same), k2.DSize())
+	g2 := grid.New(len(same), len(same), k2.DSize())
 	RunAll(k2, g2)
 	if got, want := k2.Score(g2), int64(len(same))*k2.Match; got != want {
 		t.Errorf("self-alignment score = %d, want %d", got, want)
@@ -122,7 +122,7 @@ func TestLCSGolden(t *testing.T) {
 	a := []byte("AGGTAB")
 	b := []byte("GXTXAYB")
 	k := NewLCSWith(a, b)
-	g := grid.NewRect(len(a), len(b), 0)
+	g := grid.New(len(a), len(b), 0)
 	RunAll(k, g)
 	want := refLCS(a, b)
 	for r := 0; r < len(a); r++ {
@@ -169,7 +169,7 @@ func TestDTWGolden(t *testing.T) {
 	x := []float64{0, 1, 2, 3, 2, 1, 0, -1, 0, 2}
 	y := []float64{0, 0, 1, 3, 3, 2, 0, -1, -1, 0, 1}
 	k := NewDTWWith(x, y)
-	g := grid.NewRect(len(x), len(y), k.DSize())
+	g := grid.New(len(x), len(y), k.DSize())
 	RunAll(k, g)
 	want := refDTW(x, y)
 	for r := 0; r < len(x); r++ {
@@ -181,7 +181,7 @@ func TestDTWGolden(t *testing.T) {
 	}
 	// Identical series warp with zero cost along the diagonal.
 	k2 := NewDTWWith(x, x)
-	g2 := grid.NewRect(len(x), len(x), k2.DSize())
+	g2 := grid.New(len(x), len(x), k2.DSize())
 	RunAll(k2, g2)
 	if got := k2.Dist(g2); got != 0 {
 		t.Errorf("self-DTW distance = %g, want 0", got)
@@ -223,7 +223,7 @@ func TestNussinovGolden(t *testing.T) {
 	seq := []byte("GGGAAAUCCAGCUUCGGCUGAAUU")
 	k := NewNussinovWith(seq, NussinovMinLoop)
 	n := len(seq)
-	g := grid.New(n, 0)
+	g := grid.New(n, n, 0)
 	RunAll(k, g)
 	want := refNussinov(seq, k.MinLoop)
 	for r := 0; r < n; r++ {
@@ -245,7 +245,7 @@ func TestNussinovGolden(t *testing.T) {
 	// the loop is long enough.
 	hp := []byte("GGGGAAAACCCC")
 	k2 := NewNussinovWith(hp, 3)
-	g2 := grid.New(len(hp), 0)
+	g2 := grid.New(len(hp), len(hp), 0)
 	RunAll(k2, g2)
 	if got := k2.Pairs(g2); got != 4 {
 		t.Errorf("hairpin pairs = %d, want 4", got)
@@ -255,7 +255,7 @@ func TestNussinovGolden(t *testing.T) {
 func TestNussinovMinLoopGate(t *testing.T) {
 	// With minLoop >= n no pairing is ever allowed.
 	k := NewNussinovWith([]byte("GCGCGC"), 6)
-	g := grid.New(6, 0)
+	g := grid.New(6, 6, 0)
 	RunAll(k, g)
 	if got := k.Pairs(g); got != 0 {
 		t.Errorf("pairs with prohibitive min_loop = %d, want 0", got)

@@ -58,7 +58,7 @@ func TestMorphReconGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		m := NewMorphRecon(tc.threshold, tc.seed)
-		g := grid.NewRect(tc.rows, tc.cols, 0)
+		g := grid.New(tc.rows, tc.cols, 0)
 		for r := 0; r < tc.rows; r++ {
 			for c := 0; c < tc.cols; c++ {
 				m.Compute(g, r, c)
@@ -107,7 +107,7 @@ func TestMorphReconGolden(t *testing.T) {
 func TestMorphReconPropagates(t *testing.T) {
 	m := NewMorphRecon(64, 7)
 	rows, cols := 40, 40
-	g := grid.NewRect(rows, cols, 0)
+	g := grid.New(rows, cols, 0)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			m.Compute(g, r, c)
@@ -143,7 +143,14 @@ func TestMorphReconInterfaces(t *testing.T) {
 	if live == nil {
 		t.Fatal("LiveOf returned nil for a Masked kernel")
 	}
-	n := grid.LiveCellsRect(16, 16, live)
+	n := 0
+	for r := 0; r < 16; r++ {
+		for c := 0; c < 16; c++ {
+			if live(r, c) {
+				n++
+			}
+		}
+	}
 	if n <= 0 || n >= 256 {
 		t.Errorf("live cells = %d, want a strict subset of 256", n)
 	}

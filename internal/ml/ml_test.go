@@ -302,20 +302,22 @@ func TestKFoldPartition(t *testing.T) {
 }
 
 func TestCrossValidateCatchesOverfit(t *testing.T) {
-	// A 1-nearest-memorizer looks perfect on training data; CV must not.
+	// A memorizer looks perfect on its training rows; held-out scoring
+	// must not. With noise sd=1, even the true function lands within 0.1
+	// of fewer than 10% of the targets, so a high hit rate means the
+	// folds leaked.
 	d := synthDataset(120, 1.0, 23)
-	cvM5, err := CrossValidate(d, 5, 1, func(train *Dataset) Model {
-		return FitM5(train, DefaultM5Options())
+	memo, err := CrossValidateAccuracy(d, 5, 1, 0.1, 0, func(train *Dataset) Model {
+		return modelExact{train}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cvM5.N != d.Len() {
-		t.Errorf("CV pooled %d predictions, want %d", cvM5.N, d.Len())
+	if memo > 0.3 {
+		t.Errorf("memorizer held-out accuracy %v implausibly high; leakage?", memo)
 	}
-	// With noise sd=1, held-out RMSE cannot be far below 1.
-	if cvM5.RMSE < 0.5 {
-		t.Errorf("CV RMSE %v implausibly low; leakage?", cvM5.RMSE)
+	if in := AccuracyWithin(modelExact{d}, d, 0.1, 0); in != 1 {
+		t.Errorf("memorizer training accuracy = %v, want 1", in)
 	}
 }
 
@@ -336,7 +338,7 @@ func TestCrossValidateAccuracyGate(t *testing.T) {
 func TestCrossValidateErrors(t *testing.T) {
 	d := NewDataset("x")
 	d.Add([]float64{1}, 1)
-	if _, err := CrossValidate(d, 5, 1, nil); err == nil {
+	if _, err := CrossValidateAccuracy(d, 5, 1, 0, 0, nil); err == nil {
 		t.Error("CV on 1 example must fail")
 	}
 }

@@ -80,7 +80,7 @@ func (in Instance) LiveFrac() float64 {
 // NumDiags returns the number of anti-diagonals, rows+cols-1.
 func (in Instance) NumDiags() int {
 	rows, cols := in.Shape()
-	return grid.NumDiagsRect(rows, cols)
+	return grid.NumDiags(rows, cols)
 }
 
 // MinSide and MaxSide return the smaller and larger side length.
@@ -326,7 +326,7 @@ func (p *Plan) MaxHalo() int {
 		return -1
 	}
 	rows, cols := p.Inst.Shape()
-	return grid.DiagLenRect(rows, cols, p.GLo) / 2
+	return grid.DiagLen(rows, cols, p.GLo) / 2
 }
 
 // MaxHaloFor computes the halo cap for an instance and band without
@@ -341,7 +341,7 @@ func MaxHaloFor(inst Instance, band int) int {
 		lo = 0
 	}
 	rows, cols := inst.Shape()
-	return grid.DiagLenRect(rows, cols, lo) / 2
+	return grid.DiagLen(rows, cols, lo) / 2
 }
 
 // GPUDiags returns the number of offloaded diagonals (0 when the GPU is
@@ -356,7 +356,7 @@ func (p *Plan) GPUDiags() int {
 // GPUCells returns the number of cells in the offloaded band.
 func (p *Plan) GPUCells() int {
 	rows, cols := p.Inst.Shape()
-	return grid.CellsInDiagRangeRect(rows, cols, p.GLo, p.GHi)
+	return grid.CellsInDiagRange(rows, cols, p.GLo, p.GHi)
 }
 
 // CPUCells returns the number of cells in the two CPU phases.

@@ -65,9 +65,9 @@ func TestPhasesPartitionAllCells(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cpu1 := grid.CellsInDiagRange(dim, p.P1Lo, p.P1Hi)
+		cpu1 := grid.CellsInDiagRange(dim, dim, p.P1Lo, p.P1Hi)
 		gpu := p.GPUCells()
-		cpu3 := grid.CellsInDiagRange(dim, p.P3Lo, p.P3Hi)
+		cpu3 := grid.CellsInDiagRange(dim, dim, p.P3Lo, p.P3Hi)
 		return cpu1+gpu+cpu3 == dim*dim && p.CPUCells() == cpu1+cpu3
 	}
 	if err := quick.Check(f, nil); err != nil {

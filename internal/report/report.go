@@ -281,44 +281,3 @@ func ProgressString(done, total int) string {
 	}
 	return fmt.Sprintf("%.1f%%", p)
 }
-
-// WaveLine is one wave of a pipeline for RenderPipeline: its name,
-// lifecycle state, succeeded/total job counts and retries consumed.
-type WaveLine struct {
-	Name    string
-	State   string
-	Done    int
-	Total   int
-	Retries int
-}
-
-// RenderPipeline renders a pipeline's waves as a ladder, one rung per
-// wave in execution order — a one-glance answer to "how far did it
-// get":
-//
-//	pipe-00000001
-//	  align    resolved  3/3
-//	  fold     running   1/2  (retries 1)
-//	  publish  pending   0/1
-func RenderPipeline(name string, waves []WaveLine) string {
-	maxN, maxS := 0, 0
-	for _, w := range waves {
-		if len(w.Name) > maxN {
-			maxN = len(w.Name)
-		}
-		if len(w.State) > maxS {
-			maxS = len(w.State)
-		}
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('\n')
-	for _, w := range waves {
-		fmt.Fprintf(&b, "  %-*s %-*s %d/%d", maxN, w.Name, maxS, w.State, w.Done, w.Total)
-		if w.Retries > 0 {
-			fmt.Fprintf(&b, "  (retries %d)", w.Retries)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

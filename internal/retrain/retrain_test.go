@@ -399,7 +399,7 @@ func TestPromotionRacesTuneBurst(t *testing.T) {
 	sr, good, bad := fixtures(t)
 	src := NewSource(staticTunerSource{bad})
 	sys := hw.I7_2600K()
-	cache := tunecache.NewSharded(256, 4, func(system string, inst plan.Instance) (tunecache.Plan, error) {
+	cache := tunecache.New(256, 4, func(_ context.Context, system string, inst plan.Instance) (tunecache.Plan, error) {
 		tun, err := src.Tuner(sys)
 		if err != nil {
 			return tunecache.Plan{}, err

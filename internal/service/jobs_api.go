@@ -7,9 +7,7 @@ package service
 // lists. Admission-control rejections answer 429 with Retry-After.
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -155,15 +153,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.jobReqs.Add(1)
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		s.writeError(w, http.StatusBadRequest, "unexpected data after request body")
+	req, ok := decodeJSON[JobRequest](s, w, r, 1<<16)
+	if !ok {
 		return
 	}
 	if req.System == "" {

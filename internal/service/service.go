@@ -246,7 +246,7 @@ func New(cfg Config) (*Server, error) {
 		s.retrainSrc = retrain.NewSource(cfg.Tuners)
 		s.tuners = s.retrainSrc
 	}
-	s.cache = tunecache.NewShardedCtx(cfg.CacheSize, cfg.CacheShards, s.predict)
+	s.cache = tunecache.New(cfg.CacheSize, cfg.CacheShards, s.predict)
 	if cfg.CachePath != "" {
 		if n, err := s.cache.LoadFile(cfg.CachePath); err == nil {
 			s.logf("warmed cache with %d plans from %s", n, cfg.CachePath)
@@ -503,6 +503,24 @@ func (s *Server) checkJSONBody(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
+// decodeJSON reads the request body as one JSON value of type T, bounded
+// to limit bytes, rejecting unknown fields and any data after the value.
+// On failure it writes the 400 itself and reports false.
+func decodeJSON[T any](s *Server, w http.ResponseWriter, r *http.Request, limit int64) (T, bool) {
+	var v T
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return v, false
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		s.writeError(w, http.StatusBadRequest, "unexpected data after request body")
+		return v, false
+	}
+	return v, true
+}
+
 // maxServedSide caps the accepted instance side length. The paper's
 // largest instance is dim 3100; the cap leaves three orders of magnitude
 // of headroom while keeping per-request work bounded against abusive
@@ -624,15 +642,8 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.tuneReqs.Add(1)
-	var req TuneRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		s.writeError(w, http.StatusBadRequest, "unexpected data after request body")
+	req, ok := decodeJSON[TuneRequest](s, w, r, 1<<16)
+	if !ok {
 		return
 	}
 	if req.System == "" {

@@ -9,7 +9,7 @@
 // file, letting a daemon restart warm.
 //
 // The cache is sharded: keys hash onto independently locked shards
-// (default GOMAXPROCS, see NewSharded), each with its own LRU list,
+// (default GOMAXPROCS, see New), each with its own LRU list,
 // entry map and in-flight singleflight table, so concurrent lookups on
 // different keys never contend on one mutex. Recency is tracked by a
 // global logical clock, letting Save merge the shards back into a single
@@ -61,17 +61,13 @@ type Plan struct {
 // PredictFunc computes a tuned plan on a cache miss — typically one
 // core.Predictor evaluation, whatever the backend kind. It is called
 // exactly once per missing key regardless of how many callers are
-// waiting.
-type PredictFunc func(system string, inst plan.Instance) (Plan, error)
-
-// PredictCtxFunc is the context-aware PredictFunc: ctx is the context
-// of the GetCtx call that leads the miss's singleflight (coalesced
-// waiters share the leader's evaluation, so only the leader's context —
-// and therefore its trace span — reaches the predict), or
-// context.Background() for plain Get callers. The context is for
-// telemetry propagation; the predict is not expected to abort on
+// waiting. ctx is the context of the GetCtx call that leads the miss's
+// singleflight (coalesced waiters share the leader's evaluation, so only
+// the leader's context — and therefore its trace span — reaches the
+// predict), or context.Background() for plain Get callers. The context
+// is for telemetry propagation; the predict is not expected to abort on
 // cancellation, since its result is shared with unrelated waiters.
-type PredictCtxFunc func(ctx context.Context, system string, inst plan.Instance) (Plan, error)
+type PredictFunc func(ctx context.Context, system string, inst plan.Instance) (Plan, error)
 
 // Outcome classifies how a Get was served.
 type Outcome int
@@ -166,11 +162,10 @@ type shard struct {
 }
 
 // Cache is a concurrency-safe sharded LRU plan cache with singleflight
-// miss deduplication. The zero value is not usable; construct with New
-// or NewSharded.
+// miss deduplication. The zero value is not usable; construct with New.
 type Cache struct {
 	cap     int
-	predict PredictCtxFunc
+	predict PredictFunc
 	shards  []*shard
 	seed    maphash.Seed
 	// clock is the global recency counter: every touch (hit, insert,
@@ -179,32 +174,13 @@ type Cache struct {
 	clock atomic.Uint64
 }
 
-// New creates a cache bounded to capacity resident plans (DefaultCapacity
-// when capacity <= 0) that fills misses through predict, sharded the
-// default way (see NewSharded with shards = 0).
-func New(capacity int, predict PredictFunc) *Cache {
-	return NewSharded(capacity, 0, predict)
-}
-
-// NewSharded creates a cache bounded to capacity resident plans
-// (DefaultCapacity when capacity <= 0) split across the given number of
-// independently locked shards. shards <= 0 selects GOMAXPROCS. The
-// count is clamped so every shard keeps a useful LRU slice (at least
-// minShardCapacity entries), which means a small cache runs unsharded
-// and keeps exact global LRU semantics.
-func NewSharded(capacity, shards int, predict PredictFunc) *Cache {
-	var fill PredictCtxFunc
-	if predict != nil {
-		fill = func(_ context.Context, system string, inst plan.Instance) (Plan, error) {
-			return predict(system, inst)
-		}
-	}
-	return NewShardedCtx(capacity, shards, fill)
-}
-
-// NewShardedCtx is NewSharded with a context-aware predict, for callers
-// that thread trace spans through the miss path (see PredictCtxFunc).
-func NewShardedCtx(capacity, shards int, predict PredictCtxFunc) *Cache {
+// New creates a cache bounded to capacity resident plans
+// (DefaultCapacity when capacity <= 0) that fills misses through predict,
+// split across the given number of independently locked shards. shards
+// <= 0 selects GOMAXPROCS. The count is clamped so every shard keeps a
+// useful LRU slice (at least minShardCapacity entries), which means a
+// small cache runs unsharded and keeps exact global LRU semantics.
+func New(capacity, shards int, predict PredictFunc) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
@@ -311,7 +287,7 @@ func (c *Cache) Get(system string, inst plan.Instance) (Plan, Outcome, error) {
 
 // GetCtx is Get with a caller context that reaches the predict when
 // this call leads the miss's singleflight, letting a request's trace
-// span chain through the model evaluation (see PredictCtxFunc).
+// span chain through the model evaluation (see PredictFunc).
 func (c *Cache) GetCtx(ctx context.Context, system string, inst plan.Instance) (Plan, Outcome, error) {
 	if err := inst.Validate(); err != nil {
 		return Plan{}, Miss, err

@@ -1,6 +1,7 @@
 package wavefront_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/wavefront"
@@ -13,7 +14,7 @@ func Example() {
 	query := []byte("GATTACA")
 	ref := []byte("GCATGCGATTACA")
 	k := wavefront.NewSeqCompareWith(query, ref)
-	g := wavefront.NewRectGrid(len(query), len(ref), 0)
+	g := wavefront.NewGrid(len(query), len(ref), 0)
 	wavefront.RunSerial(k, g)
 	fmt.Printf("aligned %dx%d cells, score %d\n",
 		g.Rows(), g.Cols(), g.B(g.Rows()-1, g.Cols()-1))
@@ -21,13 +22,13 @@ func Example() {
 	// aligned 7x13 cells, score 14
 }
 
-// ExampleNewRectGrid shows the rectangular grid shape: a rows x cols
-// array has rows+cols-1 anti-diagonals whose parallelism profile is
+// ExampleNewGrid shows the rectangular grid shape: a rows x cols array
+// has rows+cols-1 anti-diagonals whose parallelism profile is
 // trapezoidal rather than the square's triangular one.
-func ExampleNewRectGrid() {
-	g := wavefront.NewRectGrid(600, 1400, 1)
+func ExampleNewGrid() {
+	g := wavefront.NewGrid(600, 1400, 1)
 	k := wavefront.NewSynthetic(10, 1)
-	inst := wavefront.RectInstanceOf(g.Rows(), g.Cols(), k)
+	inst := wavefront.InstanceOf(g.Rows(), g.Cols(), k)
 	fmt.Printf("shape %dx%d, square=%v\n", g.Rows(), g.Cols(), g.Square())
 	fmt.Printf("anti-diagonals: %d (widest %d cells)\n", g.NumDiags(), inst.MinSide())
 	// Output:
@@ -51,7 +52,7 @@ func ExampleTuner_Predict() {
 	}
 
 	k := wavefront.NewNash(2)
-	inst := wavefront.InstanceOf(1900, k)
+	inst := wavefront.InstanceOf(1900, 1900, k)
 	pred := tuner.Predict(inst)
 	fmt.Printf("serial: %v\n", pred.Serial)
 	fmt.Printf("offloads to GPU: %v\n", pred.Par.GPUCount() > 0)
@@ -66,7 +67,7 @@ func ExampleTuner_Predict() {
 // predict function once per distinct (system, instance) key, repeats
 // are hits, and the counters expose the ratio.
 func ExampleNewPlanCache() {
-	cache := wavefront.NewPlanCache(128, func(system string, inst wavefront.Instance) (wavefront.CachedPlan, error) {
+	cache := wavefront.NewPlanCache(128, 0, func(_ context.Context, system string, inst wavefront.Instance) (wavefront.CachedPlan, error) {
 		// A stand-in for Tuner.PredictTimed; the real daemon plugs the
 		// trained tuner in here.
 		return wavefront.CachedPlan{Par: wavefront.CPUOnly(8), RTimeNs: 1e9, SerialNs: 4e9}, nil

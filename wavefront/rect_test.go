@@ -4,7 +4,7 @@ import "testing"
 
 // TestRectangularEndToEnd is the acceptance path for rectangular grids: a
 // rows != cols instance runs through RunSerial, the parallel Executor
-// (RunParallel), Estimate, SimulateRect and Exhaustive, with the serial
+// (RunParallel), Estimate, Simulate and Exhaustive, with the serial
 // and tiled-parallel native results bit-identical.
 func TestRectangularEndToEnd(t *testing.T) {
 	query := []byte("ACGTGGTCAAGGTACGTTACG")
@@ -13,10 +13,10 @@ func TestRectangularEndToEnd(t *testing.T) {
 	rows, cols := len(query), len(ref)
 
 	// Native: serial vs tiled-parallel, bit-identical.
-	want := NewRectGrid(rows, cols, 0)
+	want := NewGrid(rows, cols, 0)
 	RunSerial(k, want)
 	for _, ct := range []int{1, 3, 8, 21} {
-		g := NewRectGrid(rows, cols, 0)
+		g := NewGrid(rows, cols, 0)
 		if _, err := RunParallel(k, g, ct, 3); err != nil {
 			t.Fatalf("ct=%d: %v", ct, err)
 		}
@@ -27,12 +27,12 @@ func TestRectangularEndToEnd(t *testing.T) {
 
 	// Modeled: estimator and functional simulator.
 	sys, _ := SystemByName("i7-2600K")
-	inst := RectInstanceOf(600, 1400, NewSeqCompare())
+	inst := InstanceOf(600, 1400, NewSeqCompare())
 	if rI, cI := inst.Shape(); rI != 600 || cI != 1400 {
-		t.Fatalf("RectInstanceOf shape wrong: %v", inst)
+		t.Fatalf("InstanceOf shape wrong: %v", inst)
 	}
-	for _, par := range []Params{CPUOnly(8), GPUOnlyFor(inst)} {
-		res, err := Estimate(sys, inst, par)
+	for _, par := range []Params{CPUOnly(8), GPUOnly(inst)} {
+		res, err := Estimate(sys, inst, par, Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", par, err)
 		}
@@ -40,7 +40,7 @@ func TestRectangularEndToEnd(t *testing.T) {
 			t.Fatalf("%v: non-positive modeled time", par)
 		}
 	}
-	res, sg, err := SimulateRect(sys, rows, cols, k, Params{CPUTile: 4, Band: 10, GPUTile: 1, Halo: -1})
+	res, sg, err := Simulate(sys, InstanceOf(rows, cols, k), k, Params{CPUTile: 4, Band: 10, GPUTile: 1, Halo: -1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,13 +33,10 @@ type CachedPlan = tunecache.Plan
 type CacheStats = tunecache.Stats
 
 // PredictFunc fills PlanCache misses; it runs exactly once per missing
-// key regardless of how many callers wait on it.
+// key regardless of how many callers wait on it. Its context is the
+// leading caller's (PlanCache.GetCtx), so that caller's trace span
+// reaches the fill; plain PlanCache.Get passes context.Background().
 type PredictFunc = tunecache.PredictFunc
-
-// PredictCtxFunc is the context-aware PredictFunc: the leading caller's
-// context (and so its trace span) reaches the fill, for caches built
-// with NewPlanCacheCtx and queried through PlanCache.GetCtx.
-type PredictCtxFunc = tunecache.PredictCtxFunc
 
 // CacheOutcome classifies how a PlanCache lookup was served.
 type CacheOutcome = tunecache.Outcome
@@ -74,32 +71,12 @@ type TrainingSourceOptions = service.TrainingSourceOptions
 
 // NewPlanCache creates a plan cache bounded to capacity entries
 // (capacity <= 0 selects the default) filling misses through predict,
-// sharded the default way (GOMAXPROCS shards, clamped for small caches).
-func NewPlanCache(capacity int, predict PredictFunc) *PlanCache {
-	return tunecache.New(capacity, predict)
-}
-
-// CacheOptions configure NewPlanCacheOpts beyond the capacity bound.
-type CacheOptions struct {
-	// Capacity bounds the resident plans (<= 0 selects the default).
-	Capacity int
-	// Shards is the number of independently locked shards (<= 0 selects
-	// GOMAXPROCS; the count is clamped so every shard keeps a useful
-	// LRU slice, meaning small caches stay unsharded with exact LRU
-	// semantics).
-	Shards int
-}
-
-// NewPlanCacheOpts creates a plan cache with explicit sharding control;
-// NewPlanCache is the common-default shorthand.
-func NewPlanCacheOpts(opts CacheOptions, predict PredictFunc) *PlanCache {
-	return tunecache.NewSharded(opts.Capacity, opts.Shards, predict)
-}
-
-// NewPlanCacheCtx is NewPlanCacheOpts with a context-aware predict, so
-// trace spans thread through the miss path (see PredictCtxFunc).
-func NewPlanCacheCtx(opts CacheOptions, predict PredictCtxFunc) *PlanCache {
-	return tunecache.NewShardedCtx(opts.Capacity, opts.Shards, predict)
+// split across the given number of independently locked shards (shards
+// <= 0 selects GOMAXPROCS; the count is clamped so every shard keeps a
+// useful LRU slice, meaning small caches stay unsharded with exact LRU
+// semantics).
+func NewPlanCache(capacity, shards int, predict PredictFunc) *PlanCache {
+	return tunecache.New(capacity, shards, predict)
 }
 
 // NewTuningServer builds the tuning daemon from cfg. The zero config

@@ -19,12 +19,12 @@
 //   - the serving layer: a concurrency-safe plan cache and the HTTP
 //     tuning daemon behind cmd/waved (NewPlanCache, NewTuningServer).
 //
-// Grids may be square (the paper's dim x dim experiments; NewGrid,
-// InstanceOf) or rectangular (rows x cols; NewRectGrid, RectInstanceOf,
-// SimulateRect) — the natural shape for aligning two sequences of unequal
-// length, where the anti-diagonal parallelism profile is trapezoidal
-// rather than triangular. Every execution path (serial, tiled-parallel,
-// estimator, simulator, exhaustive search) accepts both shapes.
+// Every shape is given as rows x cols (NewGrid, InstanceOf): the paper's
+// square dim x dim experiments are the rows == cols case, and
+// rectangular grids are the natural shape for aligning two sequences of
+// unequal length, where the anti-diagonal parallelism profile is
+// trapezoidal rather than triangular. Every execution path (serial,
+// tiled-parallel, estimator, simulator, exhaustive search) accepts both.
 //
 // The types are aliases of the internal implementation packages, so the
 // public surface stays small while examples and downstream code never
@@ -68,6 +68,13 @@ type System = hw.System
 // Result is the outcome of a modeled run, including the phase breakdown.
 type Result = engine.Result
 
+// Options control Estimate and Simulate: the paper's 90-second
+// censoring threshold, widening a dual-GPU configuration to more devices
+// (the paper's future-work extension; see WithGPUs), and command-trace
+// collection during Simulate (inspect it via Result.Trace.Render). The
+// zero value is an uncensored, untraced run.
+type Options = engine.Options
+
 // Space is an exhaustive search space (Table 3).
 type Space = core.Space
 
@@ -102,12 +109,8 @@ type Prediction = core.Prediction
 // TrainOptions configure tuner training.
 type TrainOptions = core.TrainOptions
 
-// NewGrid allocates a square dim x dim grid with dsize floats per cell.
-func NewGrid(dim, dsize int) *Grid { return grid.New(dim, dsize) }
-
-// NewRectGrid allocates a rectangular rows x cols grid with dsize floats
-// per cell.
-func NewRectGrid(rows, cols, dsize int) *Grid { return grid.NewRect(rows, cols, dsize) }
+// NewGrid allocates a rows x cols grid with dsize floats per cell.
+func NewGrid(rows, cols, dsize int) *Grid { return grid.New(rows, cols, dsize) }
 
 // NewSynthetic returns the paper's synthetic training kernel with the
 // given granularity (iterations) and data size (floats per cell).
@@ -136,15 +139,9 @@ func Systems() []System { return hw.Systems() }
 func SystemByName(name string) (System, bool) { return hw.ByName(name) }
 
 // InstanceOf derives the paper-scale instance parameters for running
-// kernel k at the given (square) dimension.
-func InstanceOf(dim int, k Kernel) Instance {
-	return Instance{Dim: dim, TSize: k.TSize(), DSize: k.DSize()}
-}
-
-// RectInstanceOf derives the instance parameters for running kernel k on
-// a rectangular rows x cols grid.
-func RectInstanceOf(rows, cols int, k Kernel) Instance {
-	return Instance{Rows: rows, Cols: cols, TSize: k.TSize(), DSize: k.DSize()}
+// kernel k on a rows x cols grid.
+func InstanceOf(rows, cols int, k Kernel) Instance {
+	return Instance{Rows: rows, Cols: cols, TSize: k.TSize(), DSize: k.DSize()}.Normalize()
 }
 
 // RunSerial computes the grid with k on one host core and returns the
@@ -167,30 +164,22 @@ func RunParallel(k Kernel, g *Grid, cpuTile, workers int) (time.Duration, error)
 // CPUOnly returns the all-CPU configuration with the given tile.
 func CPUOnly(cpuTile int) Params { return engine.CPUOnlyParams(cpuTile) }
 
-// GPUOnly returns the full single-GPU offload configuration for a square
-// dim-sized instance.
-func GPUOnly(dim int) Params { return engine.GPUOnlyParams(dim) }
-
-// GPUOnlyFor returns the full single-GPU offload configuration for an
+// GPUOnly returns the full single-GPU offload configuration for an
 // instance of any shape.
-func GPUOnlyFor(inst Instance) Params { return engine.GPUOnlyParamsFor(inst) }
+func GPUOnly(inst Instance) Params { return engine.GPUOnlyParams(inst) }
 
 // Estimate models a run of inst with parameters par on sys and returns
 // virtual time and breakdown without computing data.
-func Estimate(sys System, inst Instance, par Params) (Result, error) {
-	return engine.Estimate(sys, inst, par, engine.Options{})
+func Estimate(sys System, inst Instance, par Params, opts Options) (Result, error) {
+	return engine.Estimate(sys, inst, par, opts)
 }
 
-// Simulate executes kernel k functionally on the modeled system: the
-// returned grid holds real results (bit-identical to RunSerial) and the
-// result carries the virtual time of the three-phase hybrid execution.
-func Simulate(sys System, dim int, k Kernel, par Params) (Result, *Grid, error) {
-	return engine.Simulate(sys, dim, k, par)
-}
-
-// SimulateRect is Simulate over a rectangular rows x cols grid.
-func SimulateRect(sys System, rows, cols int, k Kernel, par Params) (Result, *Grid, error) {
-	return engine.SimulateRect(sys, rows, cols, k, par)
+// Simulate executes kernel k functionally over the shape of inst on the
+// modeled system: the returned grid holds real results (bit-identical to
+// RunSerial) and the result carries the virtual time of the three-phase
+// hybrid execution. The granularity is always taken from k.
+func Simulate(sys System, inst Instance, k Kernel, par Params, opts Options) (Result, *Grid, error) {
+	return engine.Simulate(sys, inst, k, par, opts)
 }
 
 // SerialSeconds returns the modeled optimized sequential baseline in
@@ -239,17 +228,6 @@ func SavePredictor(path string, p Predictor) error { return core.SavePredictor(p
 // DefaultTrainOptions returns the standard training configuration.
 func DefaultTrainOptions() TrainOptions { return core.DefaultTrainOptions() }
 
-// SimulateTraced is Simulate with command-timeline collection enabled;
-// inspect the timeline via Result.Trace.Render.
-func SimulateTraced(sys System, dim int, k Kernel, par Params) (Result, *Grid, error) {
-	return engine.SimulateOpts(sys, dim, k, par, engine.Options{CollectTrace: true})
-}
-
-// EstimateWithGPUs models a dual-GPU configuration widened to n devices on
-// a system extended via WithGPUs — the paper's future-work extension.
-func EstimateWithGPUs(sys System, inst Instance, par Params, n int) (Result, error) {
-	return engine.Estimate(sys, inst, par, engine.Options{GPUs: n})
-}
-
-// WithGPUs returns a copy of sys carrying n replicas of its first GPU.
+// WithGPUs returns a copy of sys carrying n replicas of its first GPU;
+// Options.GPUs widens a dual-GPU configuration onto them.
 func WithGPUs(sys System, n int) System { return hw.WithGPUCount(sys, n) }

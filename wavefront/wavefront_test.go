@@ -6,9 +6,9 @@ import (
 
 func TestNativeSerialVsParallel(t *testing.T) {
 	k := NewSynthetic(3, 1)
-	a := NewGrid(40, 1)
+	a := NewGrid(40, 40, 1)
 	RunSerial(k, a)
-	b := NewGrid(40, 1)
+	b := NewGrid(40, 40, 1)
 	if _, err := RunParallel(k, b, 4, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +24,11 @@ func TestSimulateThroughPublicAPI(t *testing.T) {
 	}
 	k := NewSeqCompare()
 	dim := 50
-	res, g, err := Simulate(sys, dim, k, Params{CPUTile: 4, Band: 20, GPUTile: 1, Halo: 5})
+	res, g, err := Simulate(sys, InstanceOf(dim, dim, k), k, Params{CPUTile: 4, Band: 20, GPUTile: 1, Halo: 5}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := NewGrid(dim, 0)
+	want := NewGrid(dim, dim, 0)
 	RunSerial(k, want)
 	if !g.Equal(want) {
 		t.Error("simulated grid differs from native serial")
@@ -41,11 +41,11 @@ func TestSimulateThroughPublicAPI(t *testing.T) {
 func TestEstimateAndBaselines(t *testing.T) {
 	sys := Systems()[0]
 	inst := Instance{Dim: 500, TSize: 1000, DSize: 1}
-	cpu, err := Estimate(sys, inst, CPUOnly(8))
+	cpu, err := Estimate(sys, inst, CPUOnly(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpu, err := Estimate(sys, inst, GPUOnly(inst.Dim))
+	gpu, err := Estimate(sys, inst, GPUOnly(inst), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestEstimateAndBaselines(t *testing.T) {
 
 func TestInstanceOf(t *testing.T) {
 	k := NewNash(2)
-	inst := InstanceOf(700, k)
+	inst := InstanceOf(700, 700, k)
 	if inst.Dim != 700 || inst.TSize != 1500 || inst.DSize != 4 {
 		t.Errorf("InstanceOf wrong: %v", inst)
 	}
@@ -96,7 +96,7 @@ func TestSearchAndTrainPublicPipeline(t *testing.T) {
 
 func TestKnapsackKernelThroughAPI(t *testing.T) {
 	k := NewKnapsack(30)
-	g := NewGrid(30, 0)
+	g := NewGrid(30, 30, 0)
 	RunSerial(k, g)
 	if g.A(29, 29) <= 0 {
 		t.Error("knapsack value must be positive at full capacity")
