@@ -313,7 +313,7 @@ func BenchmarkFrontierDense(b *testing.B) {
 	b.Run("serial/frontier", func(b *testing.B) {
 		g := grid.New(256, 256, 1)
 		for i := 0; i < b.N; i++ {
-			if err := cpuexec.RunSerialFrontier(k, g, grid.NewDiagFrontier(256, 256)); err != nil {
+			if err := cpuexec.RunSerialFrontier(k, g, grid.NewDiagRangeFrontier(256, 256, 0, grid.NumDiags(256, 256)-1)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -332,7 +332,7 @@ func BenchmarkFrontierDense(b *testing.B) {
 		g := grid.New(256, 256, 1)
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			if err := ex.RunFrontier(ctx, k, g, grid.NewDiagFrontier(256, 256)); err != nil {
+			if err := ex.RunFrontier(ctx, k, g, grid.NewDiagRangeFrontier(256, 256, 0, grid.NumDiags(256, 256)-1)); err != nil {
 				b.Fatal(err)
 			}
 		}

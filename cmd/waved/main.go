@@ -131,7 +131,7 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty = off)")
 	flag.Parse()
 
-	format, err := wavefront.ParseLogFormat(*logFormat)
+	logger, err := wavefront.NewLogger(os.Stderr, *logFormat)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func main() {
 			Holdout:         *retrainHoldout,
 			Kind:            *model,
 		},
-		Logger:      wavefront.NewStructuredLogger(os.Stderr, format),
+		Logger:      logger,
 		SlowRequest: *slowRequest,
 	}
 	if *systems != "" {

@@ -92,7 +92,7 @@ type App struct {
 	// daemon calls it per request without building a kernel.
 	Granularity func(v Values) (tsize float64, dsize int, err error)
 	// Kernel constructs the kernel for a shape and resolved parameter
-	// values (functional simulation, wavetune -run, CalibrateTSize).
+	// values (functional simulation, wavetune -run).
 	Kernel func(rows, cols int, v Values) (kernels.Kernel, error)
 	// LiveCells, when set, returns the number of cells of the live
 	// region for a masked workload (Nussinov's triangle, a mask's open
@@ -395,9 +395,6 @@ func Lookup(name string) (App, bool) { return Default.Lookup(name) }
 
 // All returns the Default registry's catalog sorted by name.
 func All() []App { return Default.All() }
-
-// Names returns the Default registry's sorted names.
-func Names() []string { return Default.Names() }
 
 // UnknownAppError builds the unknown-name error against the Default
 // registry.

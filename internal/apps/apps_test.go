@@ -141,7 +141,7 @@ func TestShapeConstraints(t *testing.T) {
 // instance and kernel.
 func TestBuiltinCatalogComplete(t *testing.T) {
 	want := []string{"dtw", "knapsack", "lcs", "morphrecon", "nash", "nussinov", "seqcompare", "swaffine", "synthetic"}
-	got := Names()
+	got := Default.Names()
 	if len(got) < 9 {
 		t.Fatalf("catalog has %d apps, want >= 9: %v", len(got), got)
 	}
@@ -271,31 +271,13 @@ func TestEveryAppOrderInvariant(t *testing.T) {
 
 func TestRenderCatalog(t *testing.T) {
 	out := RenderCatalog()
-	for _, n := range Names() {
+	for _, n := range Default.Names() {
 		if !strings.Contains(out, n) {
 			t.Errorf("catalog rendering missing %q", n)
 		}
 	}
 	if !strings.Contains(out, "param") {
 		t.Error("synthetic's parameterized granularity not marked")
-	}
-}
-
-func TestCalibrateTSize(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	coarse := CalibrateTSize(kernels.NewSynthetic(200, 0))
-	fine := CalibrateTSize(kernels.NewSynthetic(1, 0))
-	if coarse <= 0 || fine <= 0 {
-		t.Fatalf("calibration not positive: coarse=%g fine=%g", coarse, fine)
-	}
-	// A 200-iteration kernel must measure meaningfully coarser than the
-	// unit kernel. The exact ratio is timing-dependent and shrinks when
-	// instrumentation (e.g. -race) inflates the fixed per-cell overhead,
-	// so only the ordering is asserted, with a comfortable margin.
-	if coarse < 2*fine {
-		t.Errorf("calibration ordering implausible: 200-iter=%g unit=%g", coarse, fine)
 	}
 }
 

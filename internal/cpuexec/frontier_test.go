@@ -31,7 +31,7 @@ func TestRunSerialFrontierMatchesSerial(t *testing.T) {
 		rows, cols := want.Rows(), want.Cols()
 
 		dense := grid.New(rows, cols, k.DSize())
-		if err := RunSerialFrontier(k, dense, grid.NewDiagFrontier(rows, cols)); err != nil {
+		if err := RunSerialFrontier(k, dense, grid.NewDiagRangeFrontier(rows, cols, 0, grid.NumDiags(rows, cols)-1)); err != nil {
 			t.Fatalf("%s dense frontier: %v", k.Name(), err)
 		}
 		if !dense.Equal(want) {
@@ -167,14 +167,14 @@ func TestRunFrontierCancel(t *testing.T) {
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := grid.New(8, 8, k.DSize())
-	err := ex.RunFrontier(pre, k, g, grid.NewDiagFrontier(8, 8))
+	err := ex.RunFrontier(pre, k, g, grid.NewDiagRangeFrontier(8, 8, 0, grid.NumDiags(8, 8)-1))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	f := &cancellingFrontier{inner: grid.NewDiagFrontier(20, 20), cancel: cancel, after: 5}
+	f := &cancellingFrontier{inner: grid.NewDiagRangeFrontier(20, 20, 0, grid.NumDiags(20, 20)-1), cancel: cancel, after: 5}
 	err = ex.RunFrontier(ctx, k, grid.New(20, 20, k.DSize()), f)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-frontier: err = %v, want context.Canceled", err)
@@ -197,7 +197,7 @@ func TestRunFrontierClosed(t *testing.T) {
 	ex := New(2)
 	ex.Close()
 	g := grid.New(4, 4, k.DSize())
-	if err := ex.RunFrontier(context.Background(), k, g, grid.NewDiagFrontier(4, 4)); !errors.Is(err, ErrClosed) {
+	if err := ex.RunFrontier(context.Background(), k, g, grid.NewDiagRangeFrontier(4, 4, 0, grid.NumDiags(4, 4)-1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("RunFrontier on closed executor: %v, want ErrClosed", err)
 	}
 	if err := ex.RunIrregular(context.Background(), k, g, 2); !errors.Is(err, ErrClosed) {

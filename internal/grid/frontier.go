@@ -93,12 +93,6 @@ type DiagFrontier struct {
 	buf        []Cell
 }
 
-// NewDiagFrontier returns the frontier covering every cell of a
-// rows x cols grid in anti-diagonal order.
-func NewDiagFrontier(rows, cols int) *DiagFrontier {
-	return NewDiagRangeFrontier(rows, cols, 0, NumDiags(rows, cols)-1)
-}
-
 // NewDiagRangeFrontier returns the dense frontier over anti-diagonals
 // [lo, hi] of a rows x cols grid; the range is clamped to the grid.
 func NewDiagRangeFrontier(rows, cols, lo, hi int) *DiagFrontier {

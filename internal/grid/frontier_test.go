@@ -7,7 +7,7 @@ import "testing"
 func TestDiagFrontierMatchesClosedForm(t *testing.T) {
 	for _, shape := range [][2]int{{1, 1}, {4, 6}, {6, 4}, {7, 7}, {1, 9}, {9, 1}} {
 		rows, cols := shape[0], shape[1]
-		f := NewDiagFrontier(rows, cols)
+		f := NewDiagRangeFrontier(rows, cols, 0, NumDiags(rows, cols)-1)
 		if f.Steps() != NumDiags(rows, cols) {
 			t.Errorf("%dx%d: Steps = %d, want %d", rows, cols, f.Steps(), NumDiags(rows, cols))
 		}

@@ -226,7 +226,7 @@ func TestAppValidationFromRegistry(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown app status %d", code)
 	}
-	for _, name := range apps.Names() {
+	for _, name := range apps.Default.Names() {
 		if !strings.Contains(msg, name) {
 			t.Errorf("unknown-app error %q does not enumerate %q", msg, name)
 		}

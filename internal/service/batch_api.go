@@ -67,15 +67,6 @@ func (s *Server) batchLimit() int {
 }
 
 func (s *Server) handleTuneBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if !s.checkJSONBody(w, r) {
-		return
-	}
-	s.batchReqs.Add(1)
 	// The body bound scales with the batch limit so a full batch of
 	// maximal items still decodes (each item is well under 1 KiB).
 	req, ok := decodeJSON[BatchTuneRequest](s, w, r, int64(1+s.batchLimit())<<10)
@@ -175,7 +166,7 @@ func (s *Server) handleTuneBatch(w http.ResponseWriter, r *http.Request) {
 	if resp.Errors > 0 {
 		// Per-item failures do not fail the batch, but they are request
 		// errors for the counters' purposes.
-		s.m.errors["batch"].Inc()
+		s.m.routes["batch"].errors.Inc()
 	}
 	s.logf("tune batch: %d items, %d unique keys, %d errors",
 		len(items), len(insts), resp.Errors)

@@ -68,7 +68,7 @@ func TestRetrainPromotionEndToEnd(t *testing.T) {
 			// strictness has its own deterministic unit battery.
 			Guardrail: retrain.GuardrailOptions{MinSamples: 1},
 		},
-		Logf: t.Logf,
+		Logger: testLogger(t),
 	})
 	defer s.Shutdown(context.Background())
 	if s.Retrainer() == nil {

@@ -17,7 +17,7 @@
 // wavefront.RegisterApp) makes it tunable, runnable and discoverable
 // here with no service change.
 //
-// Endpoints:
+// Endpoints, in the order of the route table (Server.routes):
 //
 //	POST   /v1/tune            predict tuned Params for an instance (cache-backed)
 //	POST   /v1/tune/batch      predict many instances in one request (deduped, parallel)
@@ -27,14 +27,17 @@
 //	DELETE /v1/jobs/{id}       cancel a queued or running job
 //	POST   /v1/pipelines       submit a wave-DAG pipeline of jobs (sequential wave barriers)
 //	GET    /v1/pipelines       list pipeline records (filterable by state)
+//	DELETE /v1/pipelines       prune finished pipeline records
 //	GET    /v1/pipelines/{id}  poll one pipeline record
 //	DELETE /v1/pipelines/{id}  cancel a pipeline (running wave cooperatively, later waves skipped)
-//	DELETE /v1/pipelines       prune finished pipeline records
 //	GET    /v1/apps            list the application catalog (names, granularity, params)
 //	GET    /v1/systems         list the served systems and tuner states
 //	GET    /v1/stats           cache, job, pipeline and request counters, uptime, latency quantiles
+//	any    /healthz            liveness probe
 //	GET    /metrics            the same counters in Prometheus text format
-//	GET    /healthz            liveness probe
+//
+// GET routes also answer HEAD. Any other method on a routed path
+// answers a JSON 405 whose Allow header lists the path's methods.
 //
 // Every response carries an X-Request-ID header (generated, or echoed
 // from the request); error bodies repeat it, and slow requests (see
@@ -47,10 +50,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"mime"
 	"net"
 	"net/http"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -94,13 +100,11 @@ type Config struct {
 	// it runs only when Jobs.TrainingLogDir is set (the retrainer feeds
 	// on the observation logs written there) and Retrain.Off is false.
 	Retrain RetrainOptions
-	// Logf receives request-path log lines; nil disables logging.
-	// Ignored when Logger is set.
-	Logf func(format string, args ...any)
 	// Logger, when set, receives one structured line per request from
-	// the telemetry middleware, and the daemon's printf-style log lines
-	// through its Logf bridge (taking precedence over Logf).
-	Logger *telemetry.Logger
+	// the telemetry middleware and the daemon's lifecycle lines (cache
+	// warm/save, jobs, pipelines, retraining) as info-level messages;
+	// nil disables logging.
+	Logger *slog.Logger
 	// SlowRequest, when positive, logs the full trace-span tree of any
 	// request whose end-to-end latency reaches it.
 	SlowRequest time.Duration
@@ -178,7 +182,6 @@ type Server struct {
 	jobs     *jobs.Manager
 	trainLog *core.ObservationLog
 	mux      *http.ServeMux
-	handler  http.Handler
 	start    time.Time
 
 	// retrainSrc wraps cfg.Tuners with champion/challenger promotion and
@@ -191,18 +194,8 @@ type Server struct {
 	httpSrv  *http.Server
 	shutDown bool
 
-	// m is the telemetry registry plus every pre-resolved series handle;
-	// the per-route counters below alias m.requests so the historical
-	// handler-level increment sites keep working verbatim.
-	m          *serverMetrics
-	tuneReqs   *telemetry.Counter
-	batchReqs  *telemetry.Counter
-	jobReqs    *telemetry.Counter
-	pipeReqs   *telemetry.Counter
-	appsReqs   *telemetry.Counter
-	statsReqs  *telemetry.Counter
-	sysReqs    *telemetry.Counter
-	healthReqs *telemetry.Counter
+	// m is the telemetry registry plus every pre-resolved series handle.
+	m *serverMetrics
 }
 
 // New builds a server from cfg.
@@ -220,14 +213,6 @@ func New(cfg Config) (*Server, error) {
 		start:   time.Now(),
 		m:       newServerMetrics(),
 	}
-	s.tuneReqs = s.m.requests["tune"]
-	s.batchReqs = s.m.requests["batch"]
-	s.jobReqs = s.m.requests["jobs"]
-	s.pipeReqs = s.m.requests["pipelines"]
-	s.appsReqs = s.m.requests["apps"]
-	s.statsReqs = s.m.requests["stats"]
-	s.sysReqs = s.m.requests["systems"]
-	s.healthReqs = s.m.requests["healthz"]
 	for _, sys := range cfg.Systems {
 		if sys.Name == "" {
 			return nil, fmt.Errorf("service: system with empty name")
@@ -318,33 +303,123 @@ func New(cfg Config) (*Server, error) {
 		}
 		return nil, err
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/tune", s.handleTune)
-	s.mux.HandleFunc("/v1/tune/batch", s.handleTuneBatch)
-	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("/v1/jobs/", s.handleJobByID)
-	s.mux.HandleFunc("/v1/pipelines", s.handlePipelines)
-	s.mux.HandleFunc("/v1/pipelines/", s.handlePipelineByID)
-	s.mux.HandleFunc("/v1/apps", s.handleApps)
-	s.mux.HandleFunc("/v1/systems", s.handleSystems)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/healthz", s.handleHealth)
-	s.mux.Handle("/metrics", s.m.reg.Handler())
+	s.mux = s.newMux()
 	s.registerCollectors()
-	s.handler = s.withTelemetry(s.mux)
 	if s.retrainer != nil {
 		s.retrainer.Start()
 	}
 	return s, nil
 }
 
+// A route is one entry of the daemon's route table: the ServeMux
+// pattern, the label its requests are counted and timed under, and the
+// handler. Method patterns ("POST /v1/tune") also answer HEAD when the
+// method is GET; every other method gets a JSON 405 from the path's
+// method-less fallback, whose Allow header lists the path's methods.
+type route struct {
+	label   string
+	pattern string
+	handler http.HandlerFunc
+	// body marks routes that decode a JSON body: an unsupported
+	// Content-Type answers 415 before the request counts.
+	body bool
+	// uncounted routes do not count handled requests: the exposition
+	// handler and the 404s for paths under a collection that name no
+	// item (/v1/jobs/, /v1/jobs/a/b).
+	uncounted bool
+}
+
+// routes is the route table; labels and patterns are the only facts
+// the mux, the metrics and the 405 fallbacks know about routing.
+func (s *Server) routes() []route {
+	return []route{
+		{label: "tune", pattern: "POST /v1/tune", handler: s.handleTune, body: true},
+		{label: "batch", pattern: "POST /v1/tune/batch", handler: s.handleTuneBatch, body: true},
+		{label: "jobs", pattern: "POST /v1/jobs", handler: s.handleJobSubmit, body: true},
+		{label: "jobs", pattern: "GET /v1/jobs", handler: s.handleJobList},
+		{label: "jobs", pattern: "GET /v1/jobs/{id}", handler: s.handleJobGet},
+		{label: "jobs", pattern: "DELETE /v1/jobs/{id}", handler: s.handleJobCancel},
+		{label: "jobs", pattern: "/v1/jobs/", handler: s.notFound("no such job"), uncounted: true},
+		{label: "pipelines", pattern: "POST /v1/pipelines", handler: s.handlePipelineSubmit, body: true},
+		{label: "pipelines", pattern: "GET /v1/pipelines", handler: s.handlePipelineList},
+		{label: "pipelines", pattern: "DELETE /v1/pipelines", handler: s.handlePipelinePrune},
+		{label: "pipelines", pattern: "GET /v1/pipelines/{id}", handler: s.handlePipelineGet},
+		{label: "pipelines", pattern: "DELETE /v1/pipelines/{id}", handler: s.handlePipelineCancel},
+		{label: "pipelines", pattern: "/v1/pipelines/", handler: s.notFound("no such pipeline"), uncounted: true},
+		{label: "apps", pattern: "GET /v1/apps", handler: s.handleApps},
+		{label: "systems", pattern: "GET /v1/systems", handler: s.handleSystems},
+		{label: "stats", pattern: "GET /v1/stats", handler: s.handleStats},
+		// Any method: a liveness probe must not care how it is asked.
+		{label: "healthz", pattern: "/healthz", handler: s.handleHealth},
+		// The exposition handler answers GET and HEAD and checks that
+		// itself.
+		{label: "metrics", pattern: "/metrics", handler: s.m.reg.Handler().ServeHTTP, uncounted: true},
+		// Unknown paths collapse into "other" so arbitrary probes cannot
+		// mint new series.
+		{label: "other", pattern: "/", handler: http.NotFound, uncounted: true},
+	}
+}
+
+// newMux registers the route table, each route inside the telemetry
+// middleware, plus one method-less 405 fallback per path that has
+// method patterns.
+func (s *Server) newMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	type fallback struct {
+		label   string
+		methods []string
+	}
+	fallbacks := map[string]*fallback{}
+	for _, rt := range s.routes() {
+		mux.Handle(rt.pattern, s.instrument(rt.label, s.counted(rt)))
+		if method, path, ok := strings.Cut(rt.pattern, " "); ok {
+			if fallbacks[path] == nil {
+				fallbacks[path] = &fallback{label: rt.label}
+			}
+			fallbacks[path].methods = append(fallbacks[path].methods, method)
+		}
+	}
+	for path, fb := range fallbacks {
+		slices.Sort(fb.methods)
+		allow := strings.Join(fb.methods, ", ")
+		need := strings.Join(fb.methods, " or ")
+		mux.Handle(path, s.instrument(fb.label, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Allow", allow)
+			s.writeError(w, http.StatusMethodNotAllowed, "%s required", need)
+		})))
+	}
+	return mux
+}
+
+// counted wraps a route's handler with its body check and its handled-
+// request count.
+func (s *Server) counted(rt route) http.Handler {
+	if rt.uncounted {
+		return rt.handler
+	}
+	requests := s.m.route(rt.label).requests
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if rt.body && !s.checkJSONBody(w, r) {
+			return
+		}
+		requests.Inc()
+		rt.handler(w, r)
+	})
+}
+
+// notFound answers a JSON 404 with msg.
+func (s *Server) notFound(msg string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.writeError(w, http.StatusNotFound, "%s", msg)
+	}
+}
+
+// logf writes one info-level line with a printf-formatted message: the
+// daemon's own lifecycle lines, and the jobs and retrain packages'
+// Logf hooks.
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logger != nil {
-		s.cfg.Logger.Logf(format, args...)
-		return
-	}
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
+		s.cfg.Logger.Info(fmt.Sprintf(format, args...))
 	}
 }
 
@@ -363,10 +438,10 @@ func (s *Server) Retrainer() *retrain.Retrainer { return s.retrainer }
 // telemetry block of GET /v1/stats.
 func (s *Server) Telemetry() *telemetry.Registry { return s.m.reg }
 
-// Handler returns the HTTP handler tree — the routing mux wrapped in
-// the telemetry middleware — for mounting under httptest or a
-// caller-owned http.Server.
-func (s *Server) Handler() http.Handler { return s.handler }
+// Handler returns the HTTP handler tree — the routing mux, each route
+// wrapped in the telemetry middleware — for mounting under httptest or
+// a caller-owned http.Server.
+func (s *Server) Handler() http.Handler { return s.mux }
 
 // predict is the cache's miss path: resolve the system's tuner (loading
 // or training it on first use) and evaluate it once. ctx carries the
@@ -475,11 +550,11 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 	resp := errorResponse{Error: fmt.Sprintf(format, args...)}
 	// The middleware's wrapper carries the route and request ID; a
 	// handler invoked bare (unit tests) counts under "other".
-	route := "other"
+	rm := s.m.routes["other"]
 	if sw, ok := w.(*statusWriter); ok {
-		route, resp.RequestID = sw.route, sw.requestID
+		rm, resp.RequestID = sw.route, sw.requestID
 	}
-	s.m.errors[route].Inc()
+	rm.errors.Inc()
 	s.writeJSON(w, code, resp)
 }
 
@@ -633,15 +708,6 @@ func (r TuneRequest) instanceFrom() (plan.Instance, apps.Values, error) {
 }
 
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if !s.checkJSONBody(w, r) {
-		return
-	}
-	s.tuneReqs.Add(1)
 	req, ok := decodeJSON[TuneRequest](s, w, r, 1<<16)
 	if !ok {
 		return
@@ -712,12 +778,6 @@ type SystemInfo struct {
 }
 
 func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	s.sysReqs.Add(1)
 	infos := make([]SystemInfo, 0, len(s.cfg.Systems))
 	for _, sys := range s.cfg.Systems {
 		info := SystemInfo{
@@ -755,12 +815,12 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
+	requests := map[string]uint64{"errors": s.m.errorsVec.Total()}
+	for _, rt := range s.routes() {
+		if !rt.uncounted {
+			requests[rt.label] = s.m.routes[rt.label].requests.Value()
+		}
 	}
-	s.statsReqs.Add(1)
 	var retrainStats *retrain.Stats
 	if s.retrainer != nil {
 		rs := s.retrainer.Stats()
@@ -772,24 +832,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheBySystem: s.cache.SystemStats(),
 		Jobs:          s.jobs.Stats(),
 		Pipelines:     s.jobs.PipelineStats(),
-		Requests: map[string]uint64{
-			"tune":      s.tuneReqs.Value(),
-			"batch":     s.batchReqs.Value(),
-			"jobs":      s.jobReqs.Value(),
-			"pipelines": s.pipeReqs.Value(),
-			"apps":      s.appsReqs.Value(),
-			"systems":   s.sysReqs.Value(),
-			"stats":     s.statsReqs.Value(),
-			"healthz":   s.healthReqs.Value(),
-			"errors":    s.m.errorsVec.Total(),
-		},
-		Retrain:   retrainStats,
-		Telemetry: s.telemetrySnapshot(),
+		Requests:      requests,
+		Retrain:       retrainStats,
+		Telemetry:     s.telemetrySnapshot(),
 	})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.healthReqs.Add(1)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
@@ -806,7 +855,7 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Serve serves on l until Shutdown.
 func (s *Server) Serve(l net.Listener) error {
-	srv := &http.Server{Handler: s.handler}
+	srv := &http.Server{Handler: s.mux}
 	s.httpMu.Lock()
 	if s.shutDown {
 		// Shutdown already ran (e.g. a signal raced ahead of the serve

@@ -3,19 +3,20 @@ package service
 // The daemon's observability layer: one telemetry.Registry is the
 // single source of truth behind both GET /metrics (Prometheus text
 // format) and the telemetry block of GET /v1/stats. The middleware
-// below wraps the whole mux — it stamps a request ID into the context,
-// response header and error bodies, opens the http.request trace span
-// the handlers chain children onto (cache.lookup → tuner.predict on
-// the tune path), counts every response by route and status code, and
-// feeds the per-route latency histograms from the span's duration.
+// below wraps every route of the table — it stamps a request ID into
+// the context, response header and error bodies, opens the
+// http.request trace span the handlers chain children onto
+// (cache.lookup → tuner.predict on the tune path), counts every
+// response by route and status code, and feeds the per-route latency
+// histograms from the span's duration.
 // Subsystems that keep their own counters (cache shards, job queues,
 // pipelines) surface through scrape-time collectors instead of being
 // counted twice.
 
 import (
+	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -24,55 +25,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// routeNames are the route label values of the HTTP metric families,
-// pre-registered so every route appears on /metrics from the first
-// scrape and the label space stays bounded no matter what paths are
-// probed.
-var routeNames = []string{
-	"tune", "batch", "jobs", "pipelines", "apps",
-	"systems", "stats", "healthz", "metrics", "other",
-}
-
-// routeOf maps a request path onto its route label. Unknown paths
-// collapse into "other" so arbitrary probes cannot mint new series.
-func routeOf(path string) string {
-	switch {
-	case path == "/v1/tune":
-		return "tune"
-	case path == "/v1/tune/batch":
-		return "batch"
-	case path == "/v1/jobs" || strings.HasPrefix(path, "/v1/jobs/"):
-		return "jobs"
-	case path == "/v1/pipelines" || strings.HasPrefix(path, "/v1/pipelines/"):
-		return "pipelines"
-	case path == "/v1/apps":
-		return "apps"
-	case path == "/v1/systems":
-		return "systems"
-	case path == "/v1/stats":
-		return "stats"
-	case path == "/healthz":
-		return "healthz"
-	case path == "/metrics":
-		return "metrics"
-	}
-	return "other"
-}
-
 // serverMetrics is the server's handle block into its registry: every
 // series the request paths touch is resolved once at construction, so
 // handling a request never takes a registry family lock.
 type serverMetrics struct {
 	reg *telemetry.Registry
 
-	// Per-route handled-request and error counters — the same handles
-	// /v1/stats has always reported — plus the middleware-level views:
-	// responses by route and status code, the in-flight gauge and the
-	// per-route latency histograms.
-	requests  map[string]*telemetry.Counter
-	errors    map[string]*telemetry.Counter
+	// Per-route handles (handled requests, error responses, latency) by
+	// route label, plus the middleware-level views: responses by route
+	// and status code, and the in-flight gauge.
+	routes    map[string]*routeMetrics
+	requests  *telemetry.CounterVec
+	latency   *telemetry.HistogramVec
 	errorsVec *telemetry.CounterVec
-	latency   map[string]*telemetry.Histogram
 	responses *telemetry.CounterVec
 	inflight  *telemetry.Gauge
 
@@ -94,16 +59,28 @@ type serverMetrics struct {
 	retrain *retrain.Metrics
 }
 
+// routeMetrics is one route label's pre-resolved series: the handled
+// requests and error responses /v1/stats reports, and the end-to-end
+// latency histogram.
+type routeMetrics struct {
+	requests *telemetry.Counter
+	errors   *telemetry.Counter
+	latency  *telemetry.Histogram
+}
+
 // newServerMetrics builds the registry and registers every stored
-// family. Collectors for subsystem counters are added separately
-// (registerCollectors) once the subsystems exist.
+// family. The per-route series are resolved as the route table is
+// registered (route), and collectors for subsystem counters once the
+// subsystems exist (registerCollectors).
 func newServerMetrics() *serverMetrics {
 	reg := telemetry.NewRegistry()
 	m := &serverMetrics{
-		reg:      reg,
-		requests: make(map[string]*telemetry.Counter, len(routeNames)),
-		errors:   make(map[string]*telemetry.Counter, len(routeNames)),
-		latency:  make(map[string]*telemetry.Histogram, len(routeNames)),
+		reg:    reg,
+		routes: map[string]*routeMetrics{},
+		requests: reg.CounterVec("waved_http_requests_total",
+			"Requests handled, by route (counted inside the handler, like /v1/stats).", "route"),
+		latency: reg.HistogramVec("waved_http_request_duration_seconds",
+			"End-to-end request latency, by route.", nil, "route"),
 		errorsVec: reg.CounterVec("waved_http_errors_total",
 			"Error responses written, by route.", "route"),
 		responses: reg.CounterVec("waved_http_responses_total",
@@ -140,16 +117,21 @@ func newServerMetrics() *serverMetrics {
 		core.KindTree:     m.predictSec.With(core.KindTree),
 		core.KindBilinear: m.predictSec.With(core.KindBilinear),
 	}
-	reqVec := reg.CounterVec("waved_http_requests_total",
-		"Requests handled, by route (counted inside the handler, like /v1/stats).", "route")
-	latVec := reg.HistogramVec("waved_http_request_duration_seconds",
-		"End-to-end request latency, by route.", nil, "route")
-	for _, r := range routeNames {
-		m.requests[r] = reqVec.With(r)
-		m.errors[r] = m.errorsVec.With(r)
-		m.latency[r] = latVec.With(r)
-	}
 	return m
+}
+
+// route returns the series of a route label, resolving them on first
+// use. The server registers its whole route table at construction, so
+// every label's series exist from the first scrape and the label space
+// stays bounded no matter what paths are probed.
+func (m *serverMetrics) route(label string) *routeMetrics {
+	rm, ok := m.routes[label]
+	if !ok {
+		rm = &routeMetrics{requests: m.requests.With(label),
+			errors: m.errorsVec.With(label), latency: m.latency.With(label)}
+		m.routes[label] = rm
+	}
+	return rm
 }
 
 // predictHist returns the predict-latency histogram for a backend kind,
@@ -270,11 +252,11 @@ func (s *Server) registerCollectors() {
 
 // statusWriter wraps the ResponseWriter handed to handlers: it captures
 // the status code for the response counters and carries the request's
-// ID and route label, which writeError folds into error bodies and the
-// error counters without changing its call sites.
+// ID and route, which writeError folds into error bodies and the error
+// counters without changing its call sites.
 type statusWriter struct {
 	http.ResponseWriter
-	route     string
+	route     *routeMetrics
 	requestID string
 	status    int
 }
@@ -300,22 +282,24 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// withTelemetry is the outermost middleware: request ID, http.request
-// span, in-flight gauge, latency and response series, the structured
-// request log line, and the slow-request span-tree dump.
-func (s *Server) withTelemetry(next http.Handler) http.Handler {
+// instrument wraps one route's handler in the telemetry middleware:
+// request ID, http.request span, in-flight gauge, latency and response
+// series, the structured request log line, and the slow-request
+// span-tree dump. The route's series are resolved here, once, so a
+// request never looks its route up.
+func (s *Server) instrument(label string, next http.Handler) http.Handler {
+	rm := s.m.route(label)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := routeOf(r.URL.Path)
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
 			id = telemetry.NewRequestID()
 		}
 		ctx := telemetry.WithRequestID(r.Context(), id)
 		ctx, span := telemetry.StartRootSpan(ctx, "http.request")
-		span.Annotate("route", route).Annotate("method", r.Method).
+		span.Annotate("route", label).Annotate("method", r.Method).
 			Annotate("path", r.URL.Path).Annotate("request_id", id)
 		w.Header().Set("X-Request-ID", id)
-		sw := &statusWriter{ResponseWriter: w, route: route, requestID: id}
+		sw := &statusWriter{ResponseWriter: w, route: rm, requestID: id}
 
 		s.m.inflight.Add(1)
 		next.ServeHTTP(sw, r.WithContext(ctx))
@@ -329,12 +313,13 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 			status = http.StatusOK
 		}
 		span.Annotate("status", status)
-		s.m.latency[route].Observe(dur.Seconds())
-		s.m.responses.With(route, strconv.Itoa(status)).Inc()
+		rm.latency.Observe(dur.Seconds())
+		s.m.responses.With(label, strconv.Itoa(status)).Inc()
 		if lg := s.cfg.Logger; lg != nil {
-			lg.Log("request", "request_id", id, "route", route,
-				"method", r.Method, "path", r.URL.Path,
-				"status", status, "dur", dur)
+			lg.LogAttrs(ctx, slog.LevelInfo, "request", slog.String("request_id", id),
+				slog.String("route", label), slog.String("method", r.Method),
+				slog.String("path", r.URL.Path), slog.Int("status", status),
+				slog.Duration("dur", dur))
 		}
 		if s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest {
 			s.logf("slow request %s %s %s (%.3fs >= %.3fs):\n%s",
@@ -370,13 +355,13 @@ func (s *Server) telemetrySnapshot() TelemetrySnapshot {
 	snap := TelemetrySnapshot{
 		UptimeSec: time.Since(s.start).Seconds(),
 		InFlight:  s.m.inflight.Value(),
-		Routes:    make(map[string]RouteTelemetry, len(routeNames)),
+		Routes:    make(map[string]RouteTelemetry, len(s.m.routes)),
 	}
-	for _, r := range routeNames {
-		h := s.m.latency[r].Snapshot()
+	for r, rm := range s.m.routes {
+		h := rm.latency.Snapshot()
 		snap.Routes[r] = RouteTelemetry{
-			Requests: s.m.requests[r].Value(),
-			Errors:   s.m.errors[r].Value(),
+			Requests: rm.requests.Value(),
+			Errors:   rm.errors.Value(),
 			Observed: h.Count,
 			P50Sec:   h.P50Sec,
 			P95Sec:   h.P95Sec,

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -32,6 +33,51 @@ func (b *syncBuffer) Write(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.Write(p)
+}
+
+// newLogger is telemetry.NewLogger for a known-good format.
+func newLogger(t *testing.T, w io.Writer, format string) *slog.Logger {
+	t.Helper()
+	l, err := telemetry.NewLogger(w, format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// testLogger returns a text logger writing each line to t.Log.
+func testLogger(t *testing.T) *slog.Logger {
+	return newLogger(t, testLogWriter{t}, "text")
+}
+
+type testLogWriter struct{ t *testing.T }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
+// jsonKeys returns the top-level keys of a JSON object in document
+// order.
+func jsonKeys(t *testing.T, line string) []string {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(line))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", line)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }
 
 func (b *syncBuffer) String() string {
@@ -393,18 +439,15 @@ func TestStatsTelemetryBlock(t *testing.T) {
 }
 
 // TestStructuredRequestLog checks both log encodings produce one line
-// per request with the request's fields.
+// per request with the request's fields, and pins the JSON line the
+// README documents: keys ts, level, msg first and in that order, ts in
+// RFC 3339 UTC with nanoseconds, a lowercase level, and dur as a Go
+// duration string.
 func TestStructuredRequestLog(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		format telemetry.LogFormat
-	}{
-		{"text", telemetry.FormatText},
-		{"json", telemetry.FormatJSON},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, format := range []string{"text", "json"} {
+		t.Run(format, func(t *testing.T) {
 			buf := &syncBuffer{}
-			_, ts, _ := newTestServer(t, Config{Logger: telemetry.NewLogger(buf, tc.format)})
+			_, ts, _ := newTestServer(t, Config{Logger: newLogger(t, buf, format)})
 			resp, err := http.Get(ts.URL + "/healthz")
 			if err != nil {
 				t.Fatal(err)
@@ -423,14 +466,14 @@ func TestStructuredRequestLog(t *testing.T) {
 					break
 				}
 			}
-			switch tc.format {
-			case telemetry.FormatText:
+			switch format {
+			case "text":
 				for _, want := range []string{"msg=request", "route=healthz", "status=200", "request_id=" + id} {
 					if !strings.Contains(line, want) {
 						t.Errorf("text line missing %q: %s", want, line)
 					}
 				}
-			case telemetry.FormatJSON:
+			case "json":
 				var rec map[string]any
 				if err := json.Unmarshal([]byte(line), &rec); err != nil {
 					t.Fatalf("log line is not JSON: %v: %s", err, line)
@@ -441,6 +484,20 @@ func TestStructuredRequestLog(t *testing.T) {
 				if fmt.Sprint(rec["status"]) != "200" {
 					t.Errorf("json status = %v", rec["status"])
 				}
+				if keys := jsonKeys(t, line); len(keys) < 3 || keys[0] != "ts" || keys[1] != "level" || keys[2] != "msg" {
+					t.Errorf("json keys %v, want ts, level, msg first: %s", keys, line)
+				}
+				tsv, _ := rec["ts"].(string)
+				if at, err := time.Parse(time.RFC3339Nano, tsv); err != nil || at.Location() != time.UTC || !strings.HasSuffix(tsv, "Z") {
+					t.Errorf("ts %q is not RFC3339Nano UTC (%v)", tsv, err)
+				}
+				if rec["level"] != "info" {
+					t.Errorf("level = %v, want lowercase info", rec["level"])
+				}
+				dur, _ := rec["dur"].(string)
+				if d, err := time.ParseDuration(dur); err != nil || d <= 0 {
+					t.Errorf("dur %v is not a Go duration string (%v)", rec["dur"], err)
+				}
 			}
 		})
 	}
@@ -450,13 +507,7 @@ func TestStructuredRequestLog(t *testing.T) {
 // their full span tree, child spans included.
 func TestSlowRequestSpanTree(t *testing.T) {
 	buf := &syncBuffer{}
-	var mu sync.Mutex
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		fmt.Fprintf(buf, format+"\n", args...)
-	}
-	_, ts, _ := newTestServer(t, Config{Logf: logf, SlowRequest: time.Nanosecond})
+	_, ts, _ := newTestServer(t, Config{Logger: newLogger(t, buf, "text"), SlowRequest: time.Nanosecond})
 
 	postTune(t, ts.URL, `{"system":"i7-2600K","dim":1900,"tsize":750,"dsize":4}`)
 	waitFor(t, "slow-request dump", func() bool {
@@ -483,4 +534,20 @@ func TestMetricsMethodNotAllowed(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /metrics status %d, want 405", resp.StatusCode)
 	}
+}
+
+// TestLogfHooksWriteThroughLogger checks that the printf-style Logf hook
+// the job manager logs through reaches Config.Logger as info lines whose
+// msg is the formatted text.
+func TestLogfHooksWriteThroughLogger(t *testing.T) {
+	buf := &syncBuffer{}
+	_, ts, _ := newTestServer(t, Config{Logger: newLogger(t, buf, "text")})
+	info, resp := postJob(t, ts.URL, `{"system":"i7-2600K","dim":300,"tsize":10,"dsize":1}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job submit status %d", resp.StatusCode)
+	}
+	want := `level=info msg="job ` + info.ID + ` queued: `
+	waitFor(t, "job admission line", func() bool {
+		return strings.Contains(buf.String(), want)
+	})
 }

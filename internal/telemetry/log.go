@@ -1,167 +1,40 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
+	"log/slog"
 	"strings"
-	"sync"
 	"time"
 )
 
-// LogFormat selects the line encoding of a Logger.
-type LogFormat int
-
-// Supported log line encodings.
-const (
-	// FormatText emits logfmt-style key=value lines.
-	FormatText LogFormat = iota
-	// FormatJSON emits one JSON object per line.
-	FormatJSON
-)
-
-// ParseLogFormat maps a -log-format flag value ("text", "kv", "json")
-// to a LogFormat.
-func ParseLogFormat(s string) (LogFormat, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
+// NewLogger returns a structured logger writing to w in the encoding a
+// -log-format flag names: "text" (key=value lines; also "kv", "logfmt"
+// or empty) or "json" (one object per line). Every line starts with ts
+// (UTC, RFC 3339 with nanoseconds), a lowercase level and msg, and
+// durations render as Go duration strings ("1.5ms") in both encodings.
+func NewLogger(w io.Writer, format string) (*slog.Logger, error) {
+	opts := &slog.HandlerOptions{ReplaceAttr: replaceLogAttr}
+	switch strings.ToLower(strings.TrimSpace(format)) {
 	case "", "text", "kv", "logfmt":
-		return FormatText, nil
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	case "json":
-		return FormatJSON, nil
-	default:
-		return FormatText, fmt.Errorf("unknown log format %q (want text or json)", s)
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
+	return nil, fmt.Errorf("unknown log format %q (want text or json)", format)
 }
 
-// A Logger writes structured log lines — timestamp, level, message,
-// then alternating key/value fields — as either key=value text or JSON
-// objects. It is safe for concurrent use; With derives child loggers
-// sharing the same writer and mutex so interleaved lines never tear.
-type Logger struct {
-	format LogFormat
-	fields []logField // bound by With, emitted on every line
-
-	mu  *sync.Mutex
-	w   io.Writer
-	now func() time.Time
-}
-
-type logField struct {
-	key string
-	val any
-}
-
-// NewLogger returns a Logger writing to w in the given format.
-func NewLogger(w io.Writer, format LogFormat) *Logger {
-	return &Logger{format: format, mu: &sync.Mutex{}, w: w, now: time.Now}
-}
-
-// With returns a child logger whose lines always carry the given
-// alternating key/value pairs.
-func (l *Logger) With(kv ...any) *Logger {
-	child := &Logger{format: l.format, mu: l.mu, w: l.w, now: l.now}
-	child.fields = append(append([]logField{}, l.fields...), pairFields(kv)...)
-	return child
-}
-
-// Log writes one info-level line.
-func (l *Logger) Log(msg string, kv ...any) { l.emit("info", msg, kv) }
-
-// Error writes one error-level line.
-func (l *Logger) Error(msg string, kv ...any) { l.emit("error", msg, kv) }
-
-// Logf writes one info-level line with a printf-formatted message and
-// no extra fields. It satisfies the `func(format string, args ...any)`
-// Logf hooks used across the daemon's packages, so a structured Logger
-// can slot in wherever an unstructured printf logger was expected.
-func (l *Logger) Logf(format string, args ...any) {
-	l.emit("info", fmt.Sprintf(format, args...), nil)
-}
-
-func pairFields(kv []any) []logField {
-	fields := make([]logField, 0, (len(kv)+1)/2)
-	for i := 0; i+1 < len(kv); i += 2 {
-		fields = append(fields, logField{key: fmt.Sprint(kv[i]), val: kv[i+1]})
-	}
-	if len(kv)%2 == 1 {
-		fields = append(fields, logField{key: "EXTRA", val: kv[len(kv)-1]})
-	}
-	return fields
-}
-
-func (l *Logger) emit(level, msg string, kv []any) {
-	fields := append(append([]logField{}, l.fields...), pairFields(kv)...)
-	ts := l.now().UTC().Format(time.RFC3339Nano)
-
-	var line []byte
-	switch l.format {
-	case FormatJSON:
-		obj := make(map[string]any, len(fields)+3)
-		obj["ts"] = ts
-		obj["level"] = level
-		obj["msg"] = msg
-		for _, f := range fields {
-			obj[f.key] = jsonValue(f.val)
+func replaceLogAttr(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) == 0 {
+		switch a.Key {
+		case slog.TimeKey:
+			return slog.String("ts", a.Value.Time().UTC().Format(time.RFC3339Nano))
+		case slog.LevelKey:
+			return slog.String(slog.LevelKey, strings.ToLower(a.Value.String()))
 		}
-		var err error
-		line, err = json.Marshal(obj)
-		if err != nil {
-			line = []byte(fmt.Sprintf(`{"ts":%q,"level":"error","msg":"telemetry: log marshal: %v"}`, ts, err))
-		}
-		line = append(line, '\n')
-	default:
-		var b strings.Builder
-		b.WriteString("ts=")
-		b.WriteString(ts)
-		b.WriteString(" level=")
-		b.WriteString(level)
-		b.WriteString(" msg=")
-		b.WriteString(quoteIfNeeded(msg))
-		for _, f := range fields {
-			b.WriteByte(' ')
-			b.WriteString(f.key)
-			b.WriteByte('=')
-			b.WriteString(quoteIfNeeded(fmt.Sprint(f.val)))
-		}
-		b.WriteByte('\n')
-		line = []byte(b.String())
 	}
-
-	l.mu.Lock()
-	_, _ = l.w.Write(line)
-	l.mu.Unlock()
-}
-
-// jsonValue keeps primitive field types as-is and stringifies the
-// rest, so numbers stay numbers in JSON output.
-func jsonValue(v any) any {
-	switch x := v.(type) {
-	case time.Duration:
-		return x.String()
-	case nil, bool, string,
-		int, int8, int16, int32, int64,
-		uint, uint8, uint16, uint32, uint64,
-		float32, float64, json.Number:
-		return v
-	default:
-		if _, err := json.Marshal(v); err == nil {
-			return v
-		}
-		return fmt.Sprint(v)
+	if a.Value.Kind() == slog.KindDuration {
+		return slog.String(a.Key, a.Value.Duration().String())
 	}
-}
-
-// quoteIfNeeded quotes a text-format value containing whitespace,
-// quotes, or control characters (multi-line span trees, messages).
-func quoteIfNeeded(s string) string {
-	if s == "" {
-		return `""`
-	}
-	if strings.IndexFunc(s, func(r rune) bool {
-		return r <= ' ' || r == '"' || r == '='
-	}) < 0 {
-		return s
-	}
-	return strconv.Quote(s)
+	return a
 }

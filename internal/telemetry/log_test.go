@@ -2,15 +2,27 @@ package telemetry
 
 import (
 	"encoding/json"
+	"io"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
+
+func newTestLogger(t *testing.T, w io.Writer, format string) *slog.Logger {
+	t.Helper()
+	l, err := NewLogger(w, format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
 
 func TestLoggerTextFormat(t *testing.T) {
 	var b strings.Builder
-	l := NewLogger(&b, FormatText)
-	l.Log("request done", "route", "tune", "status", 200, "dur", "1.5ms", "note", "two words")
+	l := newTestLogger(t, &b, "text")
+	l.Info("request done", "route", "tune", "status", 200, "dur", 1500*time.Microsecond, "note", "two words")
 	line := strings.TrimSpace(b.String())
 	for _, want := range []string{
 		"ts=", "level=info", `msg="request done"`,
@@ -20,12 +32,15 @@ func TestLoggerTextFormat(t *testing.T) {
 			t.Errorf("text line missing %q: %s", want, line)
 		}
 	}
+	if !strings.HasPrefix(line, "ts=") {
+		t.Errorf("text line must start with ts=: %s", line)
+	}
 }
 
 func TestLoggerJSONFormat(t *testing.T) {
 	var b strings.Builder
-	l := NewLogger(&b, FormatJSON)
-	l.Log("request done", "route", "tune", "status", 200, "p50_sec", 0.25)
+	l := newTestLogger(t, &b, "json")
+	l.Info("request done", "route", "tune", "status", 200, "p50_sec", 0.25, "dur", 1500*time.Microsecond)
 	var obj map[string]any
 	if err := json.Unmarshal([]byte(b.String()), &obj); err != nil {
 		t.Fatalf("JSON line does not parse: %v: %s", err, b.String())
@@ -36,12 +51,22 @@ func TestLoggerJSONFormat(t *testing.T) {
 	if v, ok := obj["status"].(float64); !ok || v != 200 {
 		t.Fatalf("status should stay numeric, got %T %v", obj["status"], obj["status"])
 	}
+	if obj["dur"] != "1.5ms" {
+		t.Fatalf("dur should be a duration string, got %T %v", obj["dur"], obj["dur"])
+	}
+	ts, ok := obj["ts"].(string)
+	if !ok {
+		t.Fatalf("ts missing: %v", obj)
+	}
+	if at, err := time.Parse(time.RFC3339Nano, ts); err != nil || at.Location() != time.UTC {
+		t.Fatalf("ts %q is not RFC3339Nano UTC (%v)", ts, err)
+	}
 }
 
 func TestLoggerWithFields(t *testing.T) {
 	var b strings.Builder
-	l := NewLogger(&b, FormatJSON).With("request_id", "req-1")
-	l.Log("a")
+	l := newTestLogger(t, &b, "json").With("request_id", "req-1")
+	l.Info("a")
 	l.Error("b")
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
 	if len(lines) != 2 {
@@ -65,28 +90,24 @@ func TestLoggerWithFields(t *testing.T) {
 	}
 }
 
-func TestLoggerLogfBridge(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, FormatText)
-	var logf func(string, ...any) = l.Logf
-	logf("job %s done in %d ms", "j1", 42)
-	if !strings.Contains(b.String(), `msg="job j1 done in 42 ms"`) {
-		t.Fatalf("Logf output: %s", b.String())
-	}
-}
-
-func TestParseLogFormat(t *testing.T) {
-	for in, want := range map[string]LogFormat{
-		"": FormatText, "text": FormatText, "kv": FormatText,
-		"json": FormatJSON, "JSON": FormatJSON,
+func TestNewLoggerFormats(t *testing.T) {
+	for in, wantJSON := range map[string]bool{
+		"": false, "text": false, "kv": false, "logfmt": false,
+		"json": true, "JSON": true,
 	} {
-		got, err := ParseLogFormat(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLogFormat(%q) = %v, %v", in, got, err)
+		var b strings.Builder
+		l, err := NewLogger(&b, in)
+		if err != nil {
+			t.Errorf("NewLogger(%q): %v", in, err)
+			continue
+		}
+		l.Info("m")
+		if got := strings.HasPrefix(b.String(), "{"); got != wantJSON {
+			t.Errorf("NewLogger(%q) wrote %q, want JSON=%v", in, b.String(), wantJSON)
 		}
 	}
-	if _, err := ParseLogFormat("xml"); err == nil {
-		t.Error("ParseLogFormat should reject unknown formats")
+	if _, err := NewLogger(&strings.Builder{}, "xml"); err == nil {
+		t.Error("NewLogger should reject unknown formats")
 	}
 }
 
@@ -95,11 +116,11 @@ func TestParseLogFormat(t *testing.T) {
 func TestLoggerConcurrentLinesDoNotTear(t *testing.T) {
 	var mu sync.Mutex
 	var b strings.Builder
-	l := NewLogger(writerFunc(func(p []byte) (int, error) {
+	l := newTestLogger(t, writerFunc(func(p []byte) (int, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		return b.Write(p)
-	}), FormatJSON)
+	}), "json")
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -107,7 +128,7 @@ func TestLoggerConcurrentLinesDoNotTear(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				l.Log("m", "worker", i, "j", j)
+				l.Info("m", "worker", i, "j", j)
 			}
 		}(i)
 	}

@@ -10,8 +10,8 @@ package wavefront
 import (
 	"context"
 	"io"
+	"log/slog"
 
-	"repro/internal/jobs"
 	"repro/internal/telemetry"
 )
 
@@ -22,50 +22,9 @@ import (
 // use.
 type MetricsRegistry = telemetry.Registry
 
-// Counter is a monotonically increasing metric handle.
-type Counter = telemetry.Counter
-
-// Gauge is a settable instantaneous-value metric handle.
-type Gauge = telemetry.Gauge
-
-// Histogram is a fixed-bucket latency/size distribution with cheap
-// quantile estimates (P50/P95/P99 via Snapshot).
-type Histogram = telemetry.Histogram
-
-// HistogramSnapshot is a point-in-time histogram summary.
-type HistogramSnapshot = telemetry.HistogramSnapshot
-
-// CounterVec and HistogramVec are label-partitioned metric families.
-type CounterVec = telemetry.CounterVec
-
-// HistogramVec is the label-partitioned histogram family.
-type HistogramVec = telemetry.HistogramVec
-
-// MetricType tags a family as counter, gauge or histogram.
-type MetricType = telemetry.MetricType
-
-// The metric family types.
-const (
-	MetricCounter   = telemetry.TypeCounter
-	MetricGauge     = telemetry.TypeGauge
-	MetricHistogram = telemetry.TypeHistogram
-)
-
-// DefaultLatencyBuckets is the default histogram bucket layout in
-// seconds (1µs to 60s).
-var DefaultLatencyBuckets = telemetry.DefBuckets
-
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry {
 	return telemetry.NewRegistry()
-}
-
-// ValidateMetricsExposition strictly checks Prometheus text-format
-// output (HELP/TYPE pairing, monotonic histogram buckets, duplicate
-// series) — the same validator the daemon's own tests and CI scrape
-// run against GET /metrics.
-func ValidateMetricsExposition(r io.Reader) error {
-	return telemetry.ValidateExposition(r)
 }
 
 // TraceSpan is one timed region of a request's trace tree; slow
@@ -91,55 +50,22 @@ func StartTraceSpan(ctx context.Context, name string) (context.Context, *TraceSp
 	return telemetry.StartSpan(ctx, name)
 }
 
-// TraceSpanFrom returns the span carried by ctx, or nil.
-func TraceSpanFrom(ctx context.Context) *TraceSpan {
-	return telemetry.SpanFrom(ctx)
-}
-
 // NewRequestID returns a fresh opaque request identifier ("req-" plus
 // 8 random hex-encoded bytes), the format the daemon stamps into
 // X-Request-ID headers, error bodies and job records.
 func NewRequestID() string { return telemetry.NewRequestID() }
 
-// WithRequestID returns a context carrying the request ID;
-// RequestIDFrom reads it back (or "").
+// WithRequestID returns a context carrying the request ID, which the
+// daemon's job and pipeline records echo.
 func WithRequestID(ctx context.Context, id string) context.Context {
 	return telemetry.WithRequestID(ctx, id)
 }
 
-// RequestIDFrom returns the request ID carried by ctx, or "".
-func RequestIDFrom(ctx context.Context) string {
-	return telemetry.RequestIDFrom(ctx)
-}
-
-// StructuredLogger writes structured log lines — timestamp, level,
-// message, then key=value fields — as logfmt text or JSON objects
-// (waved -log-format). TuningConfig.Logger accepts one.
-type StructuredLogger = telemetry.Logger
-
-// LogFormat selects a StructuredLogger's line encoding.
-type LogFormat = telemetry.LogFormat
-
-// The supported log line encodings.
-const (
-	LogText = telemetry.FormatText
-	LogJSON = telemetry.FormatJSON
-)
-
-// NewStructuredLogger returns a logger writing to w in the given
-// format.
-func NewStructuredLogger(w io.Writer, format LogFormat) *StructuredLogger {
+// NewLogger returns the daemon's structured logger writing to w in the
+// encoding a waved -log-format value names: "text" (key=value lines)
+// or "json". Lines start with ts (UTC, RFC 3339 with nanoseconds), a
+// lowercase level and msg, and durations render as Go duration
+// strings. TuningConfig.Logger accepts it.
+func NewLogger(w io.Writer, format string) (*slog.Logger, error) {
 	return telemetry.NewLogger(w, format)
 }
-
-// ParseLogFormat maps a -log-format flag value ("text", "kv", "json")
-// to a LogFormat.
-func ParseLogFormat(s string) (LogFormat, error) {
-	return telemetry.ParseLogFormat(s)
-}
-
-// JobMetrics is the job manager's telemetry hook block
-// (JobConfig.Metrics): registry-owned histograms fed at event time
-// (queue wait, execution, pipeline waves, engine measurements). Any
-// field may be nil.
-type JobMetrics = jobs.Metrics

@@ -13,9 +13,10 @@
 //   - the machine-learned autotuner: train on the synthetic application,
 //     deploy on unseen applications (Train, Tuner.Predict);
 //   - the application registry: a catalog of named workloads — the
-//     paper's four plus affine-gap alignment, LCS, DTW and Nussinov
-//     folding — that the daemon and CLIs resolve by name, extensible
-//     with custom kernels (RegisterApp, Apps, NewAppKernel);
+//     paper's four plus affine-gap alignment, LCS, DTW, Nussinov
+//     folding and morphological reconstruction — that the daemon and
+//     CLIs resolve by name, extensible with custom kernels (RegisterApp,
+//     AppByName, NewAppKernel);
 //   - the serving layer: a concurrency-safe plan cache and the HTTP
 //     tuning daemon behind cmd/waved (NewPlanCache, NewTuningServer).
 //
@@ -47,11 +48,10 @@ import (
 // float64 values per cell).
 type Grid = grid.Grid
 
-// Kernel is a wavefront point computation; see NewSynthetic, NewNash,
-// NewSeqCompare and NewKnapsack for the paper's applications, the
-// constructors in apps.go (NewSWAffine, NewLCS, NewDTW, NewNussinov)
-// for the extended catalog, or implement the interface for your own —
-// and register it with RegisterApp to serve it by name.
+// Kernel is a wavefront point computation; see NewSynthetic, NewNash
+// and NewSeqCompare for the paper's applications, NewAppKernel for any
+// catalog application by name, or implement the interface for your own
+// — and register it with RegisterApp to serve it by name.
 type Kernel = kernels.Kernel
 
 // Instance describes a problem instance by the paper's input parameters
@@ -70,9 +70,9 @@ type Result = engine.Result
 
 // Options control Estimate and Simulate: the paper's 90-second
 // censoring threshold, widening a dual-GPU configuration to more devices
-// (the paper's future-work extension; see WithGPUs), and command-trace
-// collection during Simulate (inspect it via Result.Trace.Render). The
-// zero value is an uncensored, untraced run.
+// (the paper's future-work extension), and command-trace collection
+// during Simulate (inspect it via Result.Trace.Render). The zero value
+// is an uncensored, untraced run.
 type Options = engine.Options
 
 // Space is an exhaustive search space (Table 3).
@@ -85,14 +85,9 @@ type SearchResult = core.SearchResult
 // ensemble, ModelKindTree).
 type Tuner = core.Tuner
 
-// BilinearTuner is the WaveTune-style analytic backend
-// (ModelKindBilinear): per-target ridge regressions over bilinear
-// interaction features, so prediction is a handful of dot products.
-type BilinearTuner = core.BilinearTuner
-
-// Predictor is a deployed tuning model of any backend kind; Tuner and
-// BilinearTuner both implement it, and every serving layer (tuner
-// sources, refine jobs, champion/challenger retraining) programs
+// Predictor is a deployed tuning model of any backend kind (the tree
+// ensemble or the WaveTune-style bilinear backend); every serving layer
+// (tuner sources, refine jobs, champion/challenger retraining) programs
 // against it.
 type Predictor = core.Predictor
 
@@ -102,9 +97,6 @@ const (
 	ModelKindTree     = core.KindTree
 	ModelKindBilinear = core.KindBilinear
 )
-
-// Prediction is a deployed tuning decision.
-type Prediction = core.Prediction
 
 // TrainOptions configure tuner training.
 type TrainOptions = core.TrainOptions
@@ -126,13 +118,6 @@ func NewSeqCompare() Kernel { return kernels.NewSeqCompare() }
 
 // NewSeqCompareWith aligns two explicit sequences.
 func NewSeqCompareWith(a, b []byte) Kernel { return kernels.NewSeqCompareWith(a, b) }
-
-// NewKnapsack returns the 0/1 knapsack kernel (the paper's future-work
-// dynamic program) over a deterministic dim-item instance.
-func NewKnapsack(dim int) Kernel { return kernels.NewKnapsack(dim) }
-
-// Systems returns the paper's three modeled platforms.
-func Systems() []System { return hw.Systems() }
 
 // SystemByName looks up one of the Table 4 systems ("i3-540", "i7-2600K",
 // "i7-3820").
@@ -206,28 +191,5 @@ func Train(sr *SearchResult, opts TrainOptions) (*Tuner, error) {
 	return core.Train(sr, opts)
 }
 
-// TrainBilinear fits the WaveTune-style bilinear backend on an
-// exhaustive search result.
-func TrainBilinear(sr *SearchResult, opts TrainOptions) (*BilinearTuner, error) {
-	return core.TrainBilinear(sr, opts)
-}
-
-// TrainPredictor fits a predictor of the given model kind; an empty
-// kind selects the tree ensemble.
-func TrainPredictor(kind string, sr *SearchResult, opts TrainOptions) (Predictor, error) {
-	return core.TrainPredictor(kind, sr, opts)
-}
-
-// LoadPredictor reads a saved tuner file of any kind, dispatching on
-// its version-2 kind discriminator (v1 files load as trees).
-func LoadPredictor(path string) (Predictor, error) { return core.LoadPredictor(path) }
-
-// SavePredictor writes any predictor to path as JSON.
-func SavePredictor(path string, p Predictor) error { return core.SavePredictor(path, p) }
-
 // DefaultTrainOptions returns the standard training configuration.
 func DefaultTrainOptions() TrainOptions { return core.DefaultTrainOptions() }
-
-// WithGPUs returns a copy of sys carrying n replicas of its first GPU;
-// Options.GPUs widens a dual-GPU configuration onto them.
-func WithGPUs(sys System, n int) System { return hw.WithGPUCount(sys, n) }

@@ -39,7 +39,7 @@ func TestSimulateThroughPublicAPI(t *testing.T) {
 }
 
 func TestEstimateAndBaselines(t *testing.T) {
-	sys := Systems()[0]
+	sys, _ := SystemByName("i3-540")
 	inst := Instance{Dim: 500, TSize: 1000, DSize: 1}
 	cpu, err := Estimate(sys, inst, CPUOnly(8), Options{})
 	if err != nil {
@@ -95,7 +95,10 @@ func TestSearchAndTrainPublicPipeline(t *testing.T) {
 }
 
 func TestKnapsackKernelThroughAPI(t *testing.T) {
-	k := NewKnapsack(30)
+	k, err := NewAppKernel("knapsack", 30, 30, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := NewGrid(30, 30, 0)
 	RunSerial(k, g)
 	if g.A(29, 29) <= 0 {
